@@ -9,8 +9,8 @@
  * BENCH_micro_scale.json (pass a different path as the positional
  * argument).
  *
- *   micro_scale [out.json] [--seed N] [--threads N] [--no-lazy-drift]
- *               [--no-simd] [--lines N] [--sweeps N]
+ *   micro_scale [out.json] [--seed N] [--threads N] [--no-simd]
+ *               [--lines N] [--sweeps N]
  *
  * --lines pins a single point instead of the default ascending sweep
  * (ascending order keeps each point's peak-RSS reading meaningful:
@@ -101,7 +101,6 @@ main(int argc, char **argv)
         config.lines = lines;
         config.scheme = EccScheme::bch(8);
         config.seed = opts.seed;
-        config.lazyDrift = !opts.noLazyDrift;
 
         const auto buildStart = std::chrono::steady_clock::now();
         auto backend = std::make_unique<CellBackend>(config);
@@ -163,7 +162,6 @@ main(int argc, char **argv)
         .u64("seed", opts.seed)
         .u64("threads", opts.threads)
         .str("scheme", "bch-8")
-        .boolean("lazy_drift", !opts.noLazyDrift)
         .u64("sweeps_per_point", sweeps)
         .raw("points", pointArray.render())
         .raw("skipped_points", skippedArray.render());

@@ -1,16 +1,13 @@
 /**
  * @file
  * Cell-backend sweep microbenchmark: the wall-clock cost of scrub
- * epochs over a mostly-clean array, the case the lazy-drift fast
- * path exists for. Writes machine-readable BENCH_micro_sweep.json
+ * epochs over a mostly-clean array. Writes machine-readable BENCH_micro_sweep.json
  * (pass a different path as the positional argument) so the perf
  * trajectory of the hot loop is recorded commit over commit.
  *
- *   micro_sweep [out.json] [--seed N] [--threads N] [--no-lazy-drift]
- *               [--lines N] [--sweeps N]
+ *   micro_sweep [out.json] [--seed N] [--threads N] [--lines N]
+ *               [--sweeps N]
  *
- * --no-lazy-drift forces the exact per-cell path; comparing the two
- * runs' JSON is the speedup measurement (metrics are bit-identical).
  * --lines/--sweeps scale the run (defaults: 4096 lines, 24 sweeps).
  * Warm-up (construction + initial write) and the steady sweep are
  * reported separately (warmup_* vs steady_lines_per_second), like
@@ -46,7 +43,6 @@ main(int argc, char **argv)
     config.lines = opts.lines != 0 ? opts.lines : 4096;
     config.scheme = EccScheme::bch(8);
     config.seed = opts.seed;
-    config.lazyDrift = !opts.noLazyDrift;
 
     // Warm-up (construction + initial write of every line) and the
     // steady sweep are timed separately, like micro_scale: the two
@@ -88,7 +84,6 @@ main(int argc, char **argv)
         .u64("threads", opts.threads)
         .u64("lines", config.lines)
         .str("scheme", config.scheme.name())
-        .boolean("lazy_drift", config.lazyDrift)
         .u64("sweeps", wakes)
         .num("warmup_seconds", warmup)
         .num("warmup_lines_per_second", warmupLinesPerSecond)

@@ -203,19 +203,6 @@ BitVector::fromWords(std::size_t bits, std::vector<std::uint64_t> words)
 }
 
 void
-BitVector::assignFromWords(std::size_t bits,
-                           const std::uint64_t *words,
-                           std::size_t count)
-{
-    PCMSCRUB_ASSERT(count == (bits + 63) / 64,
-                    "assignFromWords: %zu words cannot hold %zu bits",
-                    count, bits);
-    bits_ = bits;
-    words_.assign(words, words + count);
-    maskTail();
-}
-
-void
 BitVector::maskTail()
 {
     const std::size_t tail = bits_ % 64;

@@ -108,15 +108,6 @@ class BitVector
     static BitVector fromWords(std::size_t bits,
                                std::vector<std::uint64_t> words);
 
-    /**
-     * fromWords() into an existing vector: reuses this vector's
-     * backing capacity instead of allocating a fresh one, for hot
-     * paths that re-fill one buffer per visit. Trailing bits are
-     * re-masked.
-     */
-    void assignFromWords(std::size_t bits, const std::uint64_t *words,
-                         std::size_t count);
-
     /** Extract bits [lo, lo+n) as an integer (n <= 64). */
     std::uint64_t extract(std::size_t lo, std::size_t n) const;
 

@@ -22,7 +22,7 @@ printUsage(const char *prog)
     std::printf(
         "usage: %s [--seed N] [--threads N] [--checkpoint PATH]\n"
         "       [--checkpoint-every H] [--resume PATH]\n"
-        "       [--no-lazy-drift] [--no-simd] [--lines N] [--sweeps N]\n"
+        "       [--no-simd] [--lines N] [--sweeps N]\n"
         "       [--telemetry PATH] [--devices N] [--chaos]\n"
         "  --seed N              base RNG seed (default per harness)\n"
         "  --threads N           worker threads; results are\n"
@@ -31,9 +31,6 @@ printUsage(const char *prog)
         "                        per harness; scale benches sweep it)\n"
         "  --sweeps N            scrub sweeps to simulate (default\n"
         "                        per harness)\n"
-        "  --no-lazy-drift       force the exact per-cell sensing path\n"
-        "                        (bit-identical results, slower; for\n"
-        "                        perf comparison)\n"
         "  --no-simd             force the scalar reference kernels\n"
         "                        instead of the vectorized (AVX2)\n"
         "                        ones (bit-identical results, slower;\n"
@@ -198,9 +195,6 @@ parseCliOptions(int argc, char **argv, std::uint64_t defaultSeed,
             i += consumed;
         } else if (std::strcmp(argv[i], "--chaos") == 0) {
             opts.chaos = true;
-            ++i;
-        } else if (std::strcmp(argv[i], "--no-lazy-drift") == 0) {
-            opts.noLazyDrift = true;
             ++i;
         } else if (std::strcmp(argv[i], "--no-simd") == 0) {
             opts.noSimd = true;

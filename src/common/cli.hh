@@ -80,14 +80,6 @@ struct CliOptions
     bool chaos = false;
 
     /**
-     * Disable the cell backend's lazy-drift fast path and force the
-     * exact per-cell sensing path everywhere. Results are
-     * bit-identical either way; the flag exists for perf comparison
-     * and for the property tests that prove that equivalence.
-     */
-    bool noLazyDrift = false;
-
-    /**
      * Disable the vectorized (AVX2) sense/margin and BCH kernels
      * and force the scalar reference loops everywhere. Results are
      * bit-identical either way (simd_oracle_test proves it); the

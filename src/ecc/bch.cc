@@ -493,22 +493,4 @@ BchCode::checkWords(const std::uint64_t *words, std::size_t bits) const
     return !syndromes(words, syn);
 }
 
-void
-BchCode::checkSpans(const std::uint64_t *const *spans,
-                    std::size_t count, std::uint8_t *clean) const
-{
-    const std::size_t spanWords = (codewordBits_ + 63) / 64;
-    GfElem syn[kMaxTerms + 1];
-    for (std::size_t i = 0; i < count; ++i) {
-        if (i + 1 < count) {
-            // Pull the next span toward the cache while this one's
-            // table rows accumulate; syndrome passes are short enough
-            // that the miss otherwise lands on the critical path.
-            for (std::size_t w = 0; w < spanWords; w += 8)
-                __builtin_prefetch(spans[i + 1] + w);
-        }
-        clean[i] = syndromes(spans[i], syn) ? 0 : 1;
-    }
-}
-
 } // namespace pcmscrub

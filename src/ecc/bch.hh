@@ -46,20 +46,13 @@ class BchCode : public Code
     DecodeResult decode(BitVector &codeword) const override;
     bool check(const BitVector &codeword) const override;
 
-    /** Zero-copy syndrome pass over raw codeword words. */
-    bool checkWords(const std::uint64_t *words,
-                    std::size_t bits) const override;
-
     /**
-     * Batched syndrome accumulation: one stack syndrome buffer
-     * reused across the spans, the next span prefetched while the
-     * current one accumulates. This is the sweep-refresh entry — a
-     * lazy-drift rebuild checks every eligible line of a shard in
-     * one call.
+     * check() on the raw backing words of a codeword (little-endian,
+     * low bit = bit 0, `bits` == codewordBits()): a zero-copy
+     * syndrome pass; bits past `bits` in the final word are ignored.
      */
-    void checkSpans(const std::uint64_t *const *spans,
-                    std::size_t count,
-                    std::uint8_t *clean) const override;
+    bool checkWords(const std::uint64_t *words,
+                    std::size_t bits) const;
 
     /** Field degree in use. */
     unsigned fieldDegree() const { return field_.m(); }

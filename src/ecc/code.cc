@@ -1,30 +1,8 @@
 #include "ecc/code.hh"
 
-#include <vector>
-
 #include "common/logging.hh"
 
 namespace pcmscrub {
-
-bool
-Code::checkWords(const std::uint64_t *words, std::size_t bits) const
-{
-    PCMSCRUB_ASSERT(bits == codewordBits(),
-                    "codeword length %zu != %zu", bits,
-                    codewordBits());
-    return check(BitVector::fromWords(
-        bits,
-        std::vector<std::uint64_t>(words, words + (bits + 63) / 64)));
-}
-
-void
-Code::checkSpans(const std::uint64_t *const *spans, std::size_t count,
-                 std::uint8_t *clean) const
-{
-    const std::size_t bits = codewordBits();
-    for (std::size_t i = 0; i < count; ++i)
-        clean[i] = checkWords(spans[i], bits) ? 1 : 0;
-}
 
 BitVector
 Code::extractData(const BitVector &codeword) const

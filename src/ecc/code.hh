@@ -83,28 +83,6 @@ class Code
     virtual bool check(const BitVector &codeword) const = 0;
 
     /**
-     * check() on the raw backing words of a codeword (little-endian,
-     * low bit = bit 0, `bits` == codewordBits()). Lets storage-plane
-     * callers skip materialising a BitVector per line; bits past
-     * `bits` in the final word are ignored. The default copies into
-     * a BitVector and calls check(); codes with a zero-copy syndrome
-     * pass (BCH) override.
-     */
-    virtual bool checkWords(const std::uint64_t *words,
-                            std::size_t bits) const;
-
-    /**
-     * Batched checkWords() over `count` codeword spans: clean[i]
-     * becomes 1 when spans[i] has a zero syndrome, else 0. One call
-     * per queued batch keeps the code's tables hot across lines and
-     * lets implementations prefetch the next span while accumulating
-     * the current one. The default loops checkWords().
-     */
-    virtual void checkSpans(const std::uint64_t *const *spans,
-                            std::size_t count,
-                            std::uint8_t *clean) const;
-
-    /**
      * Recover the payload from a codeword. The default assumes the
      * systematic [data | checks] layout; codes with a different
      * physical layout (e.g. interleaved slices) override this.

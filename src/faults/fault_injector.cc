@@ -74,14 +74,6 @@ FaultInjector::enabled() const
         config_.metadataCorruptionProb > 0.0;
 }
 
-bool
-FaultInjector::corruptsReads() const
-{
-    return config_.disturbFlipsPerRead > 0.0 ||
-        config_.burstProbPerRead > 0.0 ||
-        config_.miscorrectionProb > 0.0;
-}
-
 unsigned
 FaultInjector::sampleStuckCells(double writes, double wear_fraction,
                                 std::size_t shard)

@@ -114,15 +114,6 @@ class FaultInjector
     bool enabled() const;
 
     /**
-     * True when any read-path ingredient (read disturb, bursts,
-     * decoder miscorrection) has a non-zero rate. Backends with a
-     * provably-clean read shortcut must take the exact path whenever
-     * this holds, since injected read faults can dirty a
-     * physics-clean line.
-     */
-    bool corruptsReads() const;
-
-    /**
      * Provision `count` independent per-shard RNG streams (derived
      * from the campaign seed and the shard index alone). Existing
      * draws/stats are discarded; call before the campaign starts.

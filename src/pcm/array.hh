@@ -55,13 +55,6 @@ class CellArray
     }
 
     /**
-     * The array-home cell planes, for kernels that batch across
-     * lines (the lazy-drift eligibility sweep reads whole shards of
-     * contiguous plane memory without going through Line handles).
-     */
-    const CellStorage &storage() const { return cellStore_; }
-
-    /**
      * Program every line with an independent random codeword at
      * time `now` (experiment warm-up); returns aggregate stats.
      *

@@ -108,54 +108,6 @@ CellModel::read(const Cell &cell, Tick now,
     return level;
 }
 
-Tick
-CellModel::cleanUntil(const Cell &cell) const
-{
-    if (cell.stuck)
-        return kNeverTick; // Frozen cells read stuckLevel forever.
-    if (cell.nu < 0.0f)
-        return cell.writeTick; // Reverse drift: claim nothing.
-    const unsigned level = read(cell, cell.writeTick);
-    if (!config_.hasUpperThreshold(level) || cell.nu == 0.0f)
-        return kNeverTick; // Top band or no drift: never crosses.
-    const double headroom = config_.readThresholdLogR[level] -
-        static_cast<double>(cell.logR0);
-    if (headroom < 0.0)
-        return cell.writeTick;
-    // Crossing age solves logR0 + nu * log10(age / t0) = threshold.
-    const double uCross = headroom / static_cast<double>(cell.nu);
-    const double ageSeconds = config_.driftT0Seconds *
-        std::pow(10.0, uCross);
-    const double deltaTicks = ageSeconds *
-        static_cast<double>(ticksPerSecond);
-    if (std::isnan(deltaTicks))
-        return cell.writeTick; // Unreachable; claim nothing if not.
-    // A crossing past the representable tick range can never be
-    // visited, so "never" is exact; pow overflow to infinity lands
-    // here too.
-    if (deltaTicks >= static_cast<double>(kNeverTick - cell.writeTick))
-        return kNeverTick;
-    Tick delta = static_cast<Tick>(deltaTicks);
-    // Conservative slack for the double -> tick conversion: a couple
-    // of ticks plus the ~2^-45 relative slop of the pow/log round
-    // trip, so the claimed interval never overshoots the crossing.
-    const Tick slack = 2 + (delta >> 45);
-    delta = delta > slack ? delta - slack : 0;
-    // The double comparison above can round the bound up; re-check
-    // exactly in integers.
-    if (delta >= kNeverTick - cell.writeTick)
-        return kNeverTick;
-    Tick candidate = cell.writeTick + delta;
-    // Drift is monotone, so a single verifying read suffices; walk
-    // down if floating-point slop still landed past the crossing.
-    while (candidate > cell.writeTick &&
-           read(cell, candidate) != level) {
-        const Tick gap = candidate - cell.writeTick;
-        candidate -= gap / 16 + 1;
-    }
-    return candidate;
-}
-
 bool
 CellModel::marginFlagged(const Cell &cell, Tick now) const
 {

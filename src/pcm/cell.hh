@@ -131,16 +131,6 @@ class CellModel
      */
     bool marginFlagged(const Cell &cell, Tick now) const;
 
-    /**
-     * Last tick at which the cell is guaranteed to still read the
-     * level it read at its writeTick. Drift exponents are clamped
-     * non-negative, so the sensed level is monotone non-decreasing in
-     * time and the clean interval is exactly [writeTick, cleanUntil].
-     * Returns kNeverTick when no threshold crossing can ever occur
-     * (top band, zero drift, or a stuck cell frozen at one level).
-     */
-    Tick cleanUntil(const Cell &cell) const;
-
   private:
     DeviceConfig config_;
 };

@@ -416,8 +416,8 @@ class CellStorage
 
     /**
      * Cell value without the manufacturing fields (nuSpeed = 1,
-     * enduranceWrites = 0): everything read/cleanUntil/marginFlagged
-     * touch, skipping the derivation cost. Not valid for program().
+     * enduranceWrites = 0): everything read/marginFlagged touch,
+     * skipping the derivation cost. Not valid for program().
      */
     Cell loadPhysics(std::size_t i) const;
 

@@ -1,8 +1,6 @@
 #include "pcm/kernels.hh"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -441,173 +439,6 @@ warmProgramCodeword(const CellSpan &cells, const BitVector &codeword,
         for (std::size_t i = 0; i < count; ++i)
             detail::warmTransformCell(args, i);
     }
-}
-
-void
-DriftCrossLut::init(const DeviceConfig &config, const QuantSpec &spec)
-{
-    PCMSCRUB_ASSERT(spec.initialized(),
-                    "band-crossing LUT needs an initialized spec");
-    crossDelta_.assign(4 * 256 * 256, -1.0);
-    verifiedDelta_.assign(4 * 256 * 256, 0);
-    writeGray_.assign(4 * 256, 0);
-    const double t0 = config.driftT0Seconds;
-    for (unsigned g = 0; g < 4; ++g) {
-        for (unsigned q = 0; q < 256; ++q) {
-            const double logR0 =
-                static_cast<double>(spec.decodeLogR0(
-                    g, static_cast<std::uint8_t>(q)));
-            // Write-time sense (age 0): drift contributes nu * 0.0,
-            // which never changes a threshold compare, so the level
-            // is pure in the decoded logR0 — CellModel::read at the
-            // cell's own write tick.
-            unsigned level0 = 0;
-            for (unsigned l = 0; l + 1 < mlcLevels; ++l) {
-                if (logR0 > config.readThresholdLogR[l])
-                    level0 = l + 1;
-            }
-            writeGray_[(g << 8) | q] = static_cast<std::int32_t>(
-                levelToGray(static_cast<std::uint8_t>(level0)));
-            const bool upper = config.hasUpperThreshold(level0);
-            for (unsigned nuIdx = 0; nuIdx < 256; ++nuIdx) {
-                if (nuIdx == QuantSpec::kStuckNuIdx)
-                    continue; // Sentinel entries are never read.
-                const std::size_t k = index(g, q, nuIdx);
-                const double nu = static_cast<double>(
-                    spec.decodeNu(
-                        static_cast<std::uint8_t>(nuIdx)));
-                if (nu < 0.0)
-                    continue; // Reverse drift: claim nothing
-                              // (unreachable: decodes are >= 0).
-                if (!upper || nu == 0.0) {
-                    // Top band or no drift: never crosses, for any
-                    // write tick.
-                    crossDelta_[k] =
-                        std::numeric_limits<double>::infinity();
-                    continue;
-                }
-                const double headroom =
-                    config.readThresholdLogR[level0] - logR0;
-                if (headroom < 0.0)
-                    continue; // Claim nothing (unreachable: read
-                              // chose level0, so logR0 is at or
-                              // under its threshold).
-                const double uCross = headroom / nu;
-                const double ageSeconds =
-                    t0 * std::pow(10.0, uCross);
-                const double deltaTicks = ageSeconds *
-                    static_cast<double>(ticksPerSecond);
-                if (std::isnan(deltaTicks))
-                    continue; // The model's NaN guard.
-                crossDelta_[k] = deltaTicks;
-                if (deltaTicks >= static_cast<double>(kNeverTick))
-                    continue; // Never for every write tick; the
-                              // verified delta stays unused.
-                // The model's conversion slack and monotone
-                // walk-down, at write tick 0: the walk's verifying
-                // reads depend only on the candidate's delta, so
-                // the result shifts exactly with the write tick.
-                Tick delta = static_cast<Tick>(deltaTicks);
-                const Tick slack = 2 + (delta >> 45);
-                delta = delta > slack ? delta - slack : 0;
-                Tick candidate = delta;
-                while (candidate > 0) {
-                    const double age = ticksToSeconds(candidate);
-                    double u = 0.0;
-                    if (age > t0)
-                        u = std::log10(age / t0);
-                    const double logR = logR0 + nu * u;
-                    unsigned level = 0;
-                    for (unsigned l = 0; l + 1 < mlcLevels; ++l) {
-                        if (logR > config.readThresholdLogR[l])
-                            level = l + 1;
-                    }
-                    if (level == level0)
-                        break;
-                    const Tick gap = candidate;
-                    candidate -= gap / 16 + 1;
-                }
-                verifiedDelta_[k] = candidate;
-            }
-        }
-    }
-    initialized_ = true;
-}
-
-LazyLineResult
-computeLazyLine(const CellConstSpan &cells,
-                const std::uint64_t *intended, Tick line_write_tick,
-                const DeviceConfig &config, const DriftCrossLut &lut)
-{
-    PCMSCRUB_ASSERT(lut.initialized(),
-                    "lazy kernel before the LUT is built");
-    // The vector path's 64-bit min runs signed; crossings it keeps
-    // in lanes are bounded by 2^61 + the write tick, so any
-    // realistic tick qualifies.
-    if (vectorPath(cells, /*slc_mode=*/false) &&
-        line_write_tick < (Tick(1) << 61)) {
-        return simdk::computeLazyLineAvx2(cells, intended,
-                                          line_write_tick, config,
-                                          lut);
-    }
-    LazyLineResult out;
-    Tick until = kNeverTick;
-    if (!detail::lazyScanScalar(cells, intended, line_write_tick,
-                                config, lut, 0, until))
-        return out;
-    if (until < line_write_tick)
-        return out;
-    out.eligible = true;
-    out.cleanUntil = until;
-    return out;
-}
-
-void
-computeLazyLines(const CellStorage &storage, std::size_t first_line,
-                 std::size_t line_count, const DeviceConfig &config,
-                 const DriftCrossLut &lut, LazyLineResult *out)
-{
-    const std::size_t cellsPerLine = storage.cellsPerLine();
-    for (std::size_t k = 0; k < line_count; ++k) {
-        const std::size_t line = first_line + k;
-        out[k] = computeLazyLine(
-            storage.constSpan(line, cellsPerLine),
-            storage.intendedWords(line),
-            storage.lineLastWriteTick(line), config, lut);
-    }
-}
-
-LazyLineResult
-computeLazyLineModel(const CellStorage &storage, std::size_t line,
-                     const CellModel &model)
-{
-    LazyLineResult out;
-    const Tick writeTick = storage.lineLastWriteTick(line);
-    const std::uint64_t *words = storage.intendedWords(line);
-    const std::size_t base = line * storage.cellsPerLine();
-    const std::size_t count = storage.cellsPerLine();
-    Tick until = kNeverTick;
-    for (std::size_t i = 0; i < count; ++i) {
-        const Cell cell = storage.loadPhysics(base + i);
-        if (cell.stuck)
-            return out;
-        const std::size_t bit = 2 * i;
-        const unsigned target = grayToLevel(static_cast<std::uint8_t>(
-            (words[bit >> 6] >> (bit & 63u)) & 3u));
-        // Off the intended symbol at the line tick (differential
-        // writes leave unskipped cells on older drift clocks):
-        // leave the line on the exact path.
-        if (model.read(cell, writeTick) != target)
-            return out;
-        const Tick cellClean = model.cleanUntil(cell);
-        if (cellClean < until)
-            until = cellClean;
-    }
-    if (until < writeTick)
-        return out;
-    out.eligible = true;
-    out.cleanUntil = until;
-    return out;
 }
 
 } // namespace kernels

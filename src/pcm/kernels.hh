@@ -19,7 +19,6 @@
 #define PCMSCRUB_PCM_KERNELS_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/bitvector.hh"
 #include "common/types.hh"
@@ -98,126 +97,6 @@ void warmProgramCodeword(const CellSpan &cells,
                          const BitVector &codeword,
                          std::size_t codeword_bits,
                          const DeviceConfig &config, Random &rng);
-
-/** Lazy-drift eligibility of one line (see computeLazyLines). */
-struct LazyLineResult
-{
-    Tick cleanUntil = 0;
-    bool eligible = false;
-};
-
-/**
- * Band-crossing lookup tables for the lazy-drift eligibility kernel.
- *
- * CellModel::cleanUntil is a pure function of the cell's quantized
- * codes plus its write tick, and its transcendental part — the
- * pow(10, headroom / nu) crossing age and the log10 verification
- * walk — depends on the codes alone. This table evaluates that part
- * once per (gray, logR0 code, nu code) triple with the *identical*
- * expression sequence as the model, so the per-cell evaluation
- * collapses to a gather plus an integer clamp chain that is exact by
- * construction:
- *
- *  - crossDelta: the raw `deltaTicks` double of
- *    CellModel::cleanUntil (age-to-crossing in ticks; +infinity when
- *    the cell never crosses, -1.0 when the model would claim nothing
- *    — NaN crossing). The caller re-applies the model's overflow
- *    checks against its own write tick.
- *  - verifiedDelta: the final claimed delta after the model's
- *    conversion slack and monotone walk-down, valid whenever the
- *    runtime chain reaches the `writeTick + delta` branch (the walk
- *    compares read levels at writeTick + d, which depend only on d).
- *  - writeGray: the Gray symbol a write-time read (age 0) returns
- *    for a live cell, pure in (gray, logR0 code); int32 lanes so the
- *    AVX2 path can gather it directly.
- *
- * Stuck-sentinel entries are never consulted (the kernels bail to
- * "ineligible" first). ~4 MiB, owned by the scrub backend, excluded
- * from storage byte accounting.
- */
-class DriftCrossLut
-{
-  public:
-    /** Build from the device physics; ~0.25M libm calls, run once. */
-    void init(const DeviceConfig &config, const QuantSpec &spec);
-
-    bool initialized() const { return initialized_; }
-
-    /**
-     * Heap bytes a built LUT owns — the backend's size gate: a memo
-     * table this large only earns its keep when the array planes it
-     * accelerates are at least as large themselves.
-     */
-    static constexpr std::size_t footprintBytes()
-    {
-        return 4u * 256u * 256u * (sizeof(double) + sizeof(Tick)) +
-            4u * 256u * sizeof(std::int32_t);
-    }
-
-    static std::size_t index(unsigned gray, unsigned q,
-                             unsigned nu_idx)
-    {
-        return (static_cast<std::size_t>(gray & 3u) << 16) |
-            (static_cast<std::size_t>(q) << 8) | nu_idx;
-    }
-
-    const double *crossDelta() const { return crossDelta_.data(); }
-    const Tick *verifiedDelta() const
-    {
-        return verifiedDelta_.data();
-    }
-    const std::int32_t *writeGray() const { return writeGray_.data(); }
-
-  private:
-    std::vector<double> crossDelta_;
-    std::vector<Tick> verifiedDelta_;
-    std::vector<std::int32_t> writeGray_;
-    bool initialized_ = false;
-};
-
-/**
- * Lazy-drift eligibility for one line: the batched form of the
- * backend's per-cell read/cleanUntil loop. A line is eligible when
- * no cell is stuck, every cell still senses its intended symbol at
- * the line's write tick, and the earliest band crossing
- * (cleanUntil) is not before that tick; `cleanUntil` is the minimum
- * over cells. Bit-identical to the CellModel reference by the LUT
- * argument above; the AVX2 path (uniform write clock only) is
- * checked against the scalar loop by simd_oracle_test. Caller-side
- * gates (SLC fallback, ECP entries, ECC codeword check) stay with
- * the caller.
- *
- * @param intended the line's raw intended-codeword words
- * @param line_write_tick the line's last full-write tick
- */
-LazyLineResult computeLazyLine(const CellConstSpan &cells,
-                               const std::uint64_t *intended,
-                               Tick line_write_tick,
-                               const DeviceConfig &config,
-                               const DriftCrossLut &lut);
-
-/**
- * computeLazyLine over `line_count` consecutive storage lines,
- * streaming the planes without per-line handle indirection — the
- * shard-refresh path of the lazy-drift calendar.
- */
-void computeLazyLines(const CellStorage &storage,
-                      std::size_t first_line, std::size_t line_count,
-                      const DeviceConfig &config,
-                      const DriftCrossLut &lut, LazyLineResult *out);
-
-/**
- * The model-direct form of computeLazyLine: the per-cell
- * CellModel::read / cleanUntil loop the LUT kernel memoizes,
- * evaluated straight off the storage planes. Bit-identical to the
- * LUT path by construction (the LUT performs the identical
- * expression sequence; simd_oracle_test pins the equality) — it is
- * the small-array fallback for backends whose size gate skipped the
- * ~4 MiB DriftCrossLut build.
- */
-LazyLineResult computeLazyLineModel(const CellStorage &storage,
-                                    std::size_t line,
-                                    const CellModel &model);
 
 } // namespace kernels
 } // namespace pcmscrub

@@ -660,158 +660,6 @@ marginScanCountAvx2(const CellConstSpan &cells,
     return flagged;
 }
 
-LazyLineResult
-computeLazyLineAvx2(const CellConstSpan &cells,
-                    const std::uint64_t *intended,
-                    Tick line_write_tick, const DeviceConfig &config,
-                    const DriftCrossLut &lut)
-{
-    PCMSCRUB_ASSERT(cells.ovTicks == nullptr &&
-                        cells.spec != nullptr &&
-                        line_write_tick < (Tick(1) << 61),
-                    "vector lazy scan needs a uniform write clock");
-    LazyLineResult out;
-
-    // Lane values are real crossing ticks, bounded by
-    // writeTick + 2^61 < 2^62, so a signed 64-bit min is exact;
-    // INT64_MAX marks "no constraint" (never-crossing and
-    // scalar-resolved lanes).
-    const __m256i laneMax =
-        _mm256_set1_epi64x(std::numeric_limits<std::int64_t>::max());
-    const __m256d negZero = _mm256_set1_pd(-0.0);
-    const __m256d bigCut =
-        _mm256_set1_pd(static_cast<double>(Tick(1) << 61));
-    const __m256i wtVec = _mm256_set1_epi64x(
-        static_cast<long long>(line_write_tick));
-    __m256i minVec = laneMax;
-    Tick until = kNeverTick;
-
-    std::size_t i = 0;
-    for (; i + 8 <= cells.count; i += 8) {
-        const __m256i logRq = _mm256_cvtepu8_epi32(_mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(cells.logRq + i)));
-        const __m256i nuIdx = _mm256_cvtepu8_epi32(_mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(cells.nuIdx + i)));
-        // Any stuck cell makes the whole line ineligible.
-        if (_mm256_movemask_ps(
-                _mm256_castsi256_ps(_mm256_cmpeq_epi32(
-                    nuIdx,
-                    _mm256_set1_epi32(QuantSpec::kStuckNuIdx)))) !=
-            0)
-            return out;
-
-        const std::uint32_t gray16 =
-            static_cast<std::uint32_t>(cells.gray[i >> 2]) |
-            (static_cast<std::uint32_t>(cells.gray[(i >> 2) + 1])
-             << 8);
-        const __m256i lanePos =
-            _mm256_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14);
-        const __m256i grayLanes = _mm256_and_si256(
-            _mm256_srlv_epi32(
-                _mm256_set1_epi32(static_cast<int>(gray16)),
-                lanePos),
-            _mm256_set1_epi32(3));
-
-        // Write-time symbols vs the intended plane: eight cells are
-        // sixteen intended bits, 16-bit aligned, so they never
-        // straddle a word.
-        const std::size_t bit = 2 * i;
-        const std::uint32_t target16 = static_cast<std::uint32_t>(
-            (intended[bit >> 6] >> (bit & 63u)) & 0xffffu);
-        const __m256i targetLanes = _mm256_and_si256(
-            _mm256_srlv_epi32(
-                _mm256_set1_epi32(static_cast<int>(target16)),
-                lanePos),
-            _mm256_set1_epi32(3));
-        const __m256i senseIdx = _mm256_or_si256(
-            _mm256_slli_epi32(grayLanes, 8), logRq);
-        const __m256i sensed = _mm256_i32gather_epi32(
-            lut.writeGray(), senseIdx, 4);
-        if (_mm256_movemask_ps(_mm256_castsi256_ps(
-                _mm256_cmpeq_epi32(sensed, targetLanes))) != 0xff)
-            return out;
-
-        // Crossing-delta gathers and the integer clamp chain. Fast
-        // lanes (0 <= delta < 2^61) cannot hit the model's overflow
-        // checks, so their crossing is writeTick + verifiedDelta;
-        // never-lanes drop out of the min; the rest (the sentinel
-        // and near-overflow cases the chain's tick-dependent
-        // branches decide) resolve through the scalar helper.
-        const __m256i lutIdx = _mm256_or_si256(
-            _mm256_slli_epi32(grayLanes, 16),
-            _mm256_or_si256(_mm256_slli_epi32(logRq, 8), nuIdx));
-        const __m128i idxLo = _mm256_castsi256_si128(lutIdx);
-        const __m128i idxHi = _mm256_extracti128_si256(lutIdx, 1);
-        for (unsigned half = 0; half < 2; ++half) {
-            const __m128i idx = half == 0 ? idxLo : idxHi;
-            // Masked gather form: identical semantics with an
-            // all-ones mask, but avoids GCC's spurious
-            // maybe-uninitialized warning on the maskless intrinsic.
-            const __m256d dt = _mm256_mask_i32gather_pd(
-                _mm256_setzero_pd(), lut.crossDelta(), idx,
-                _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
-            // Lanes the chain's tick-dependent branches decide: the
-            // sentinel (dt < 0) and everything at or past 2^61 —
-            // which includes every never-crossing lane, since
-            // crossDelta is then >= 2^64 or infinite.
-            const unsigned dead = static_cast<unsigned>(
-                _mm256_movemask_pd(_mm256_or_pd(
-                    _mm256_cmp_pd(dt, negZero, _CMP_LT_OQ),
-                    _mm256_cmp_pd(dt, bigCut, _CMP_GE_OQ))));
-            const __m256i delta = _mm256_i32gather_epi64(
-                reinterpret_cast<const long long *>(
-                    lut.verifiedDelta()),
-                idx, 8);
-            __m256i cand = _mm256_add_epi64(wtVec, delta);
-            if (dead != 0) {
-                const __m256i deadMask = _mm256_setr_epi64x(
-                    dead & 1 ? -1 : 0, dead & 2 ? -1 : 0,
-                    dead & 4 ? -1 : 0, dead & 8 ? -1 : 0);
-                cand = _mm256_blendv_epi8(cand, laneMax, deadMask);
-                // Scalar-resolve the masked lanes (kNeverTick from
-                // a true never-lane cannot lower the min).
-                unsigned pending = dead;
-                while (pending != 0) {
-                    const unsigned lane = static_cast<unsigned>(
-                        __builtin_ctz(pending));
-                    pending &= pending - 1;
-                    const std::size_t c = i + 4 * half + lane;
-                    const Tick cellClean =
-                        detail::lazyCellCleanUntil(
-                            lut, cells.grayAt(c), cells.logRq[c],
-                            cells.nuIdx[c], line_write_tick);
-                    if (cellClean < until)
-                        until = cellClean;
-                }
-            }
-            const __m256i gt = _mm256_cmpgt_epi64(minVec, cand);
-            minVec = _mm256_blendv_epi8(minVec, cand, gt);
-        }
-    }
-
-    // Fold the vector min (INT64_MAX lanes impose no constraint).
-    alignas(32) std::int64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), minVec);
-    for (int lane = 0; lane < 4; ++lane) {
-        if (lanes[lane] !=
-            std::numeric_limits<std::int64_t>::max()) {
-            const Tick v = static_cast<Tick>(lanes[lane]);
-            if (v < until)
-                until = v;
-        }
-    }
-
-    // Sub-vector tail: the shared scalar reference path.
-    if (!detail::lazyScanScalar(cells, intended, line_write_tick,
-                                config, lut, i, until))
-        return out;
-    if (until < line_write_tick)
-        return out;
-    out.eligible = true;
-    out.cleanUntil = until;
-    return out;
-}
-
 void
 manufZScoresAvx2(std::uint64_t seed, std::uint64_t sid_base,
                  std::size_t count, double *z_e, double *z_s)
@@ -1223,13 +1071,6 @@ senseCodewordAvx2(const CellConstSpan &, std::size_t,
 
 unsigned
 marginScanCountAvx2(const CellConstSpan &, const DeviceConfig &, Tick)
-{
-    fatal("AVX2 kernels not compiled into this build");
-}
-
-LazyLineResult
-computeLazyLineAvx2(const CellConstSpan &, const std::uint64_t *,
-                    Tick, const DeviceConfig &, const DriftCrossLut &)
 {
     fatal("AVX2 kernels not compiled into this build");
 }

@@ -325,81 +325,6 @@ marginFlagged(const CellConstSpan &cells, std::size_t i,
         config.marginBandLogR;
 }
 
-/**
- * CellModel::cleanUntil of one live cell, via the band-crossing
- * table: the table holds the transcendental crossing delta, this
- * chain re-applies the model's overflow checks and slack (which
- * depend on the write tick) in pure integer arithmetic. Each branch
- * mirrors one branch of the model — the sentinel is its NaN "claim
- * nothing" return, the double compare its representable-range check,
- * the re-check in integers its guard against that compare rounding
- * up — so the result is the model's bit for bit.
- */
-inline Tick
-lazyCellCleanUntil(const DriftCrossLut &lut, unsigned gray,
-                   std::uint8_t q, std::uint8_t nu_idx,
-                   Tick write_tick)
-{
-    const std::size_t k = DriftCrossLut::index(gray, q, nu_idx);
-    const double deltaTicks = lut.crossDelta()[k];
-    if (deltaTicks < 0.0)
-        return write_tick;
-    if (deltaTicks >=
-        static_cast<double>(kNeverTick - write_tick))
-        return kNeverTick;
-    Tick delta = static_cast<Tick>(deltaTicks);
-    const Tick slack = 2 + (delta >> 45);
-    delta = delta > slack ? delta - slack : 0;
-    if (delta >= kNeverTick - write_tick)
-        return kNeverTick;
-    return write_tick + lut.verifiedDelta()[k];
-}
-
-/**
- * Scalar body of the lazy-eligibility kernel over cells
- * [first, count): false as soon as a cell is stuck or off its
- * intended symbol at the line tick, otherwise folds each cell's
- * crossing into `until`. Shared by the portable loop and the AVX2
- * path's tails; `intended` is the raw intended-word plane, whose
- * packed 2-bit symbols line up with the Gray plane's.
- */
-inline bool
-lazyScanScalar(const CellConstSpan &cells,
-               const std::uint64_t *intended, Tick line_write_tick,
-               const DeviceConfig &config, const DriftCrossLut &lut,
-               std::size_t first, Tick &until)
-{
-    DriftAgeCache age(line_write_tick, config.driftT0Seconds);
-    for (std::size_t i = first; i < cells.count; ++i) {
-        if (cells.stuck(i))
-            return false;
-        const unsigned g = cells.grayAt(i);
-        const unsigned target = static_cast<unsigned>(
-            (intended[i >> 5] >> ((i & 31u) * 2u)) & 3u);
-        const Tick cellWt = cells.writeTick(i);
-        if (cellWt == line_write_tick) {
-            // Age 0: the sensed symbol is pure in the quantized
-            // codes.
-            if (static_cast<unsigned>(
-                    lut.writeGray()[(g << 8) | cells.logRq[i]]) !=
-                target)
-                return false;
-        } else {
-            // Differential writes leave skipped cells on older
-            // clocks; sense those at the line tick the exact way.
-            const unsigned level =
-                senseLevel(cells, i, config, age, 0.0);
-            if (levelToGray(level) != target)
-                return false;
-        }
-        const Tick cellClean = lazyCellCleanUntil(
-            lut, g, cells.logRq[i], cells.nuIdx[i], cellWt);
-        if (cellClean < until)
-            until = cellClean;
-    }
-    return true;
-}
-
 } // namespace detail
 } // namespace kernels
 } // namespace pcmscrub

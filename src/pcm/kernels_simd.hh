@@ -47,17 +47,6 @@ unsigned marginScanCountAvx2(const CellConstSpan &cells,
                              const DeviceConfig &config, Tick now);
 
 /**
- * Vector lazy-drift eligibility (kernels::computeLazyLine) under
- * the same preconditions, plus line_write_tick < 2^61 so the signed
- * 64-bit crossing min cannot wrap.
- */
-LazyLineResult computeLazyLineAvx2(const CellConstSpan &cells,
-                                   const std::uint64_t *intended,
-                                   Tick line_write_tick,
-                                   const DeviceConfig &config,
-                                   const DriftCrossLut &lut);
-
-/**
  * Batched manufacturing z-scores: for cells 0..count-1 runs the
  * per-cell stream Random::stream(seed, sid_base + (i << 8)) four
  * lanes at a time (vector splitmix64 seeding + xoshiro256** +

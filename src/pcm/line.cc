@@ -96,14 +96,6 @@ Line::intendedWord() const
                                    words + intendedWordCount()));
 }
 
-void
-Line::copyIntendedWord(BitVector &out) const
-{
-    out.assignFromWords(codewordBits_,
-                        active_->intendedWords(activeLine_),
-                        intendedWordCount());
-}
-
 LineProgramStats
 Line::writeCodeword(const BitVector &codeword, Tick now,
                     const CellModel &model, Random &rng,

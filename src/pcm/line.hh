@@ -125,13 +125,6 @@ class Line
     /** The codeword the controller believes is stored. */
     BitVector intendedWord() const;
 
-    /**
-     * intendedWord() into an existing buffer, reusing its backing
-     * capacity — the per-visit form for read paths that would
-     * otherwise allocate a fresh BitVector per clean line.
-     */
-    void copyIntendedWord(BitVector &out) const;
-
     /** Tick of the last full write (drift reference for policies). */
     Tick lastWriteTick() const
     {
@@ -164,17 +157,6 @@ class Line
 
     /** Copy of one cell's state (for value-based physics queries). */
     Cell cellValue(unsigned index) const { return cell(index).load(); }
-
-    /**
-     * Cell state without the manufacturing fields (see
-     * CellStorage::loadPhysics): enough for read/cleanUntil/
-     * marginFlagged, skipping the compact-mode derivation cost.
-     */
-    Cell cellPhysics(unsigned index) const
-    {
-        boundsCheck(index);
-        return active_->loadPhysics(baseCell() + index);
-    }
 
     /** Plane views over this line's cells (kernel input). */
     CellSpan span() { return active_->span(activeLine_, count_); }

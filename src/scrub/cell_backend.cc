@@ -44,8 +44,6 @@ CellBackend::CellBackend(const CellBackendConfig &config)
     shards_.resize(plan_.count());
     for (std::size_t shard = 0; shard < plan_.count(); ++shard)
         shards_[shard].rng = Random::stream(config.seed, shard);
-    lazy_.resize(config.lines);
-    calendars_.resize(plan_.count());
     if (config.ecpEntries > 0) {
         ecp_.assign(config.lines,
                     EcpStore(code_->codewordBits(),
@@ -70,17 +68,6 @@ CellBackend::CellBackend(const CellBackendConfig &config)
         detectWords_[i] = detector_->compute(word);
     });
 
-    // Eager so the (const) lazy-eligibility path never initializes
-    // shared state under the parallel sweep — but size-gated: the
-    // ~4 MiB memo table must not dominate a small array's footprint,
-    // so it is only built when the planes it accelerates are at
-    // least as large. Below the gate the lazy path runs the
-    // model-direct scalar scan, which the LUT memoizes exactly, so
-    // results are bit-identical either way.
-    if (config.lazyDrift &&
-        array_.storage().bytes() >=
-            kernels::DriftCrossLut::footprintBytes())
-        driftLut_.init(config.device, array_.storage().spec());
 }
 
 std::uint64_t
@@ -129,147 +116,11 @@ CellBackend::readLine(LineIndex line, Tick now)
     if (shard.bufferedLine != line || shard.bufferedTick != now) {
         shard.bufferedLine = line;
         shard.bufferedTick = now;
-        if (lazyVisitClean(line, now)) {
-            // The line provably still senses its intended codeword,
-            // so skip the per-cell physics and hand back the stored
-            // word. corruptWord would be a no-op here (the fast path
-            // is off whenever read faults are live) and draws no RNG
-            // at zero rates, so the buffer bytes and random streams
-            // match the exact path exactly.
-            array_.line(line).copyIntendedWord(shard.buffered);
-        } else {
-            shard.buffered = senseRaw(line, now);
-            if (injector_ != nullptr)
-                injector_->corruptWord(shard.buffered,
-                                       plan_.shardOf(line));
-        }
+        shard.buffered = senseRaw(line, now);
+        if (injector_ != nullptr)
+            injector_->corruptWord(shard.buffered, plan_.shardOf(line));
     }
     return shard.buffered;
-}
-
-bool
-CellBackend::fastPathOn() const
-{
-    return config_.lazyDrift &&
-        (injector_ == nullptr || !injector_->corruptsReads());
-}
-
-LazyLineState
-CellBackend::computeLazyLine(LineIndex line) const
-{
-    LazyLineState state;
-    const Line &physical = array_.line(line);
-    if (physical.slcMode() || ecpUsed(line) > 0)
-        return state;
-    // The cell scan — no cell stuck, every cell on its intended
-    // symbol at write time, earliest band crossing — is the batched
-    // kernel; a non-SLC line's active planes are the array home
-    // storage, so its intended words sit in the array plane. Small
-    // arrays whose size gate skipped the LUT build take the
-    // model-direct scan instead (bit-identical).
-    const kernels::LazyLineResult crossing = driftLut_.initialized()
-        ? kernels::computeLazyLine(
-              physical.span(), array_.storage().intendedWords(line),
-              physical.lastWriteTick(), config_.device, driftLut_)
-        : kernels::computeLazyLineModel(array_.storage(), line,
-                                        array_.model());
-    if (!crossing.eligible)
-        return state;
-    // The gates assume the intended word light-detects and decodes
-    // clean; both hold exactly when it is a true codeword. Raw-span
-    // check: the intended words already sit in the array plane.
-    if (!code_->checkWords(array_.storage().intendedWords(line),
-                           code_->codewordBits()))
-        return state;
-    state.eligible = true;
-    state.cleanUntil = crossing.cleanUntil;
-    return state;
-}
-
-void
-CellBackend::updateLazyLine(LineIndex line)
-{
-    if (!config_.lazyDrift)
-        return;
-    DriftCalendar &calendar = calendars_[plan_.shardOf(line)];
-    if (!calendar.validFor(lazyEpoch_))
-        return; // Stale shard: the next visit rebuilds it wholesale.
-    calendar.remove(lazy_[line]);
-    lazy_[line] = computeLazyLine(line);
-    calendar.add(lazy_[line]);
-}
-
-void
-CellBackend::refreshLazyShard(std::size_t shard)
-{
-    DriftCalendar &calendar = calendars_[shard];
-    calendar.reset(lazyEpoch_);
-    const ShardRange range = plan_.range(shard);
-    // One batched pass over the shard's contiguous planes; the
-    // per-line gates (SLC fallback, ECP, ECC check) then veto. An
-    // SLC line's array-home planes are stale, but its result is
-    // discarded, so the wasted scan is harmless and rare.
-    const std::size_t count = range.end - range.begin;
-    std::vector<kernels::LazyLineResult> crossings(count);
-    if (driftLut_.initialized()) {
-        kernels::computeLazyLines(array_.storage(), range.begin,
-                                  count, config_.device, driftLut_,
-                                  crossings.data());
-    } else {
-        // Size-gated small array: no LUT was built, so scan with
-        // the model directly (bit-identical, and cheap at the line
-        // counts the gate admits).
-        for (std::size_t k = 0; k < count; ++k)
-            crossings[k] = kernels::computeLazyLineModel(
-                array_.storage(), range.begin + k, array_.model());
-    }
-    // The ECC gate runs as one batched syndrome pass over every
-    // candidate that survived the cheap gates: the code's tables
-    // stay hot across the queued spans instead of being re-walked
-    // per line, and no per-line BitVector is materialised.
-    std::vector<LineIndex> queued;
-    std::vector<const std::uint64_t *> spans;
-    for (LineIndex line = range.begin; line < range.end; ++line) {
-        const kernels::LazyLineResult &crossing =
-            crossings[line - range.begin];
-        if (crossing.eligible && !array_.line(line).slcMode() &&
-            ecpUsed(line) == 0) {
-            queued.push_back(line);
-            spans.push_back(array_.storage().intendedWords(line));
-        }
-    }
-    std::vector<std::uint8_t> clean(queued.size());
-    if (!queued.empty())
-        code_->checkSpans(spans.data(), spans.size(), clean.data());
-    std::size_t next = 0;
-    for (LineIndex line = range.begin; line < range.end; ++line) {
-        LazyLineState state;
-        if (next < queued.size() && queued[next] == line) {
-            if (clean[next]) {
-                state.eligible = true;
-                state.cleanUntil =
-                    crossings[line - range.begin].cleanUntil;
-            }
-            ++next;
-        }
-        lazy_[line] = state;
-        calendar.add(state);
-    }
-}
-
-bool
-CellBackend::lazyVisitClean(LineIndex line, Tick now)
-{
-    if (!fastPathOn())
-        return false;
-    const std::size_t shard = plan_.shardOf(line);
-    DriftCalendar &calendar = calendars_[shard];
-    if (!calendar.validFor(lazyEpoch_))
-        refreshLazyShard(shard);
-    if (calendar.allCleanAt(now))
-        return true;
-    const LazyLineState &state = lazy_[line];
-    return state.eligible && now <= state.cleanUntil;
 }
 
 void
@@ -350,7 +201,6 @@ CellBackend::programLine(LineIndex line, const BitVector &word,
     // tick.
     shard.bufferedLine = ~LineIndex{0};
     shard.chargedLine = ~LineIndex{0};
-    updateLazyLine(line);
 }
 
 unsigned
@@ -373,20 +223,11 @@ CellBackend::lastFullWrite(LineIndex line, Tick now)
 bool
 CellBackend::lightDetectClean(LineIndex line, Tick now)
 {
-    // Resolve the fast path before sensing so a provably-clean line
-    // skips the detector compute too; the energy and counters below
-    // are charged identically either way.
-    const bool lazyClean = lazyVisitClean(line, now);
     const BitVector &read = readLine(line, now);
     ScrubMetrics &metrics = metricsFor(line);
     metrics.energy.add(EnergyCategory::Detect,
                        energyModel_.lightDetect());
     ++metrics.lightDetects;
-    if (lazyClean) {
-        // read == intended, so the detect words match by
-        // construction and there is no miss to count.
-        return true;
-    }
     const bool clean = detector_->compute(read) == detectWords_[line];
     if (clean &&
         read != array_.line(line).intendedWord()) {
@@ -398,34 +239,22 @@ CellBackend::lightDetectClean(LineIndex line, Tick now)
 bool
 CellBackend::eccCheckClean(LineIndex line, Tick now)
 {
-    const bool lazyClean = lazyVisitClean(line, now);
     const BitVector &read = readLine(line, now);
     ScrubMetrics &metrics = metricsFor(line);
     metrics.energy.add(EnergyCategory::Decode,
                        scheme_.checkEnergy(config_.device));
     ++metrics.eccChecks;
-    if (lazyClean) {
-        // Eligibility verified check(intended) at update time.
-        return true;
-    }
     return code_->check(read);
 }
 
 FullDecodeOutcome
 CellBackend::fullDecode(LineIndex line, Tick now)
 {
-    const bool lazyClean = lazyVisitClean(line, now);
     BitVector word = readLine(line, now);
     ScrubMetrics &metrics = metricsFor(line);
     metrics.energy.add(EnergyCategory::Decode,
                        scheme_.fullDecodeEnergy(config_.device));
     ++metrics.fullDecodes;
-    if (lazyClean) {
-        // Zero syndromes by construction: the exact path would take
-        // the Clean branch and draw no RNG, so returning the default
-        // outcome here is bit-identical.
-        return FullDecodeOutcome{};
-    }
 
     const DecodeResult result = code_->decode(word);
     FullDecodeOutcome outcome;
@@ -621,9 +450,6 @@ CellBackend::repairUncorrectable(LineIndex line, Tick now)
     array_.line(line).remapStuckToIntended();
     if (!ecp_.empty())
         ecp_[line].clear();
-    // The remap and ECP clear happen after programLine's own lazy
-    // update and change the eligibility inputs; recompute.
-    updateLazyLine(line);
 }
 
 void
@@ -781,10 +607,6 @@ CellBackend::checkpointLoad(SnapshotSource &source)
     for (std::size_t i = 0; i < detectWords_.size(); ++i)
         detectWords_[i] =
             detector_->compute(array_.line(i).intendedWord());
-
-    // Restored cells invalidate every cached crossing tick; the next
-    // visit of each shard rebuilds its calendar from the new state.
-    ++lazyEpoch_;
 }
 
 std::uint64_t

@@ -2,7 +2,9 @@
  * @file
  * Cell-accurate backend: every cell simulated, real codecs decoding
  * real corrupted codewords. Slower than the analytic backend but
- * assumption-free — the test suite cross-validates the two.
+ * assumption-free — the test suite cross-validates the two. Every
+ * visit senses every cell of the line; there is no shortcut for
+ * lines that would read clean.
  *
  * Demand traffic is applied explicitly via demandWrite() (tests and
  * examples drive it); there is no lazy traffic model here, and
@@ -24,10 +26,8 @@
 #include "mem/region_telemetry.hh"
 #include "pcm/array.hh"
 #include "pcm/energy.hh"
-#include "pcm/kernels.hh"
 #include "pcm/wear.hh"
 #include "scrub/backend.hh"
-#include "scrub/drift_calendar.hh"
 
 namespace pcmscrub {
 
@@ -69,16 +69,6 @@ struct CellBackendConfig
 
     /** Uncorrectable-error degradation ladder (off by default). */
     DegradationConfig degradation{};
-
-    /**
-     * Lazy-drift fast path: at program time, compute each line's
-     * earliest band-crossing tick in closed form; scrub visits
-     * before that tick skip the per-cell physics and the codec while
-     * charging exactly what the exact path would. Results are
-     * bit-identical with the flag on or off (a property test locks
-     * this in), so it is excluded from the checkpoint fingerprint.
-     */
-    bool lazyDrift = true;
 };
 
 /**
@@ -136,21 +126,10 @@ class CellBackend : public ScrubBackend
     /** The real codec in use. */
     const Code &code() const { return *code_; }
 
-    /**
-     * Mutable cell access. Callers may rewrite cell state directly,
-     * so every cached crossing tick is dropped (epoch bump); the
-     * next scrub visit rebuilds its shard's calendar.
-     */
-    CellArray &array()
-    {
-        ++lazyEpoch_;
-        return array_;
-    }
+    /** Mutable cell access (callers may rewrite cell state). */
+    CellArray &array() { return array_; }
 
-    /**
-     * Read-only array access (reporting, ground-truth queries); does
-     * not invalidate the lazy-drift cache.
-     */
+    /** Read-only array access (reporting, ground-truth queries). */
     const CellArray &arrayView() const { return array_; }
 
     /** ECP entries consumed on a line (0 when ECP is off). */
@@ -203,37 +182,6 @@ class CellBackend : public ScrubBackend
     DegradationStage escalate(LineIndex line, Tick now);
 
     static std::unique_ptr<Code> buildCode(const EccScheme &scheme);
-
-    // Lazy-drift fast path ------------------------------------------
-
-    /**
-     * Whether the fast path may be consulted at all: the config
-     * enables it and no attached fault campaign injects read-path
-     * faults (those can dirty a physics-clean line).
-     */
-    bool fastPathOn() const;
-
-    /**
-     * True when the line provably still senses its intended codeword
-     * at `now`, so the visit's gates may skip the per-cell physics
-     * and the codec. Rebuilds the shard's calendar if it is stale.
-     */
-    bool lazyVisitClean(LineIndex line, Tick now);
-
-    /**
-     * Derive a line's lazy state from its cells: ineligible when any
-     * exactness condition fails (SLC mode, ECP patches, stuck cells,
-     * a cell already off its target at write time, or an intended
-     * word that is not a codeword), else clean until the earliest
-     * cell band-crossing tick.
-     */
-    LazyLineState computeLazyLine(LineIndex line) const;
-
-    /** Recompute one line's entry (no-op while the shard is stale). */
-    void updateLazyLine(LineIndex line);
-
-    /** Rebuild a shard's calendar and line entries wholesale. */
-    void refreshLazyShard(std::size_t shard);
 
     /**
      * State owned by one shard: its RNG stream, metrics slice, and
@@ -292,22 +240,6 @@ class CellBackend : public ScrubBackend
     PprRemapTable ppr_;
     FaultInjector *injector_ = nullptr;    //!< Not owned.
     RegionTelemetry *telemetry_ = nullptr; //!< Not owned.
-
-    /**
-     * Lazy-drift cache: per-line crossing state plus one calendar
-     * per shard. Pure derived state — never serialized; the epoch
-     * counter invalidates every shard at once (calendars start at
-     * epoch 0, one behind, so first use builds them).
-     */
-    std::vector<LazyLineState> lazy_;
-    std::vector<DriftCalendar> calendars_;
-    std::uint64_t lazyEpoch_ = 1;
-
-    /**
-     * Band-crossing tables for the lazy kernel, built once at
-     * construction (pure function of the device config).
-     */
-    kernels::DriftCrossLut driftLut_;
 };
 
 } // namespace pcmscrub

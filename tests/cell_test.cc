@@ -79,6 +79,11 @@ TEST_F(CellModelTest, DriftEventuallyFlipsIntermediateLevel)
     EXPECT_EQ(model.read(cell, secondsToTicks(1.0)), 2u);
     // After 10^4 s: logR = 5.05 + 0.12*4 = 5.53 > 5.5.
     EXPECT_EQ(model.read(cell, secondsToTicks(1e4)), 3u);
+
+    // A twin without drift holds its level for good.
+    Cell still = cell;
+    still.nu = 0.0f;
+    EXPECT_EQ(model.read(still, secondsToTicks(1e9)), 2u);
 }
 
 TEST_F(CellModelTest, SenseIsDeterministicBetweenWrites)

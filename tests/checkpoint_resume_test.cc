@@ -20,6 +20,7 @@
  * afterwards.
  */
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -30,10 +31,12 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/cli.hh"
 #include "common/random.hh"
 #include "common/serialize.hh"
+#include "common/simd.hh"
 #include "common/thread_pool.hh"
 #include "faults/fault_injector.hh"
 #include "mem/ppr.hh"
@@ -51,10 +54,19 @@ constexpr Tick kHour = secondsToTicks(3600.0);
 constexpr Tick kDay = secondsToTicks(86400.0);
 constexpr std::uint64_t kNoStop = ~0ull;
 
+/**
+ * A temp path private to the running test and process: ctest runs
+ * every test case as its own process, concurrently under -j.
+ */
 std::string
 tempPath(const std::string &name)
 {
-    return ::testing::TempDir() + "pcmscrub_" + name;
+    const ::testing::TestInfo *test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string id = std::string(test->test_suite_name()) + "." +
+        test->name() + "." + std::to_string(::getpid());
+    std::replace(id.begin(), id.end(), '/', '_');
+    return ::testing::TempDir() + "pcmscrub_" + id + "_" + name;
 }
 
 bool
@@ -71,6 +83,7 @@ class ResumeTest : public ::testing::Test
     {
         ThreadPool::global().resize(1);
         CheckpointRuntime::global().resetForTest();
+        simd::setEnabled(true);
     }
 };
 
@@ -307,12 +320,13 @@ straightCell(std::uint64_t seed, unsigned threads, Tick horizon,
 /**
  * Kill the run at wake `killAt` (checkpoint + destroy every object),
  * rebuild from scratch at `threadsAfter`, restore the snapshot, and
- * finish.
+ * finish — on the vector kernels, or on the scalar reference
+ * kernels when `simdAfter` is false.
  */
 CellOutcome
 resumedCell(std::uint64_t seed, unsigned threadsBefore,
             unsigned threadsAfter, Tick horizon, std::uint64_t killAt,
-            std::uint64_t expectedWakes)
+            std::uint64_t expectedWakes, bool simdAfter = true)
 {
     const std::string path = tempPath("cell_resume.snap");
 
@@ -330,6 +344,7 @@ resumedCell(std::uint64_t seed, unsigned threadsBefore,
     }
 
     ThreadPool::global().resize(threadsAfter);
+    simd::setEnabled(simdAfter);
     CellSim sim(seed);
     const SnapshotReader reader = SnapshotReader::fromFile(path);
     const CheckpointMeta meta =
@@ -372,9 +387,15 @@ TEST_F(CellResume, SnapshotAtOneThreadResumesAtFour)
     std::uint64_t totalWakes = 0;
     const CellOutcome straight = straightCell(7, 1, horizon, totalWakes);
     ASSERT_GE(totalWakes, 2u);
-    expectCellOutcomeEqual(
-        straight, resumedCell(7, 1, 4, horizon,
-                              killPoint(7, totalWakes), totalWakes));
+    // Kernel dispatch is as invisible as thread count: the resumed
+    // half may also run on the scalar reference kernels.
+    for (const bool simdAfter : {true, false}) {
+        SCOPED_TRACE(simdAfter ? "vector kernels" : "scalar kernels");
+        expectCellOutcomeEqual(
+            straight,
+            resumedCell(7, 1, 4, horizon, killPoint(7, totalWakes),
+                        totalWakes, simdAfter));
+    }
 }
 
 // Analytic backend ------------------------------------------------
@@ -911,6 +932,7 @@ TEST_F(RuntimeResume, PeriodicCheckpointRestoresToIdenticalEnd)
     expectMetricsEqual(reference.metrics(), resumed.metrics());
 
     std::remove(path.c_str());
+    std::remove((path + ".1").c_str());
 }
 
 TEST_F(RuntimeResume, SecondRunOrdinalRestoresIntoTheRightRun)
@@ -950,6 +972,7 @@ TEST_F(RuntimeResume, SecondRunOrdinalRestoresIntoTheRightRun)
     const ScrubMetrics resumed = runPair(0.0, path);
     expectMetricsEqual(straight, resumed);
     std::remove(path.c_str());
+    std::remove((path + ".1").c_str());
 }
 
 TEST_F(RuntimeResume, SignalFlushesAResumableCheckpointAndExitsZero)

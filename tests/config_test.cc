@@ -5,8 +5,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/config.hh"
 
@@ -77,7 +79,9 @@ TEST(Config, UnusedKeyTracking)
 
 TEST(Config, LoadFromFileRoundTrip)
 {
-    const std::string path = ::testing::TempDir() + "config_test.ini";
+    const std::string path = ::testing::TempDir() + "pcmscrub_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "." + std::to_string(::getpid()) + ".ini";
     {
         std::ofstream out(path);
         out << "[run]\ndays = 14\nworkload = zipf\n";

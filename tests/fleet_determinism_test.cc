@@ -7,10 +7,12 @@
  * names as victims.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/thread_pool.hh"
 #include "fleet/fleet_runner.hh"
@@ -18,10 +20,25 @@
 namespace pcmscrub {
 namespace {
 
+/**
+ * A temp path private to the running test and process: ctest runs
+ * every test case as its own process, concurrently under -j.
+ */
 std::string
-freshSnapshotDir(const std::string &tag)
+tempPath(const std::string &name)
 {
-    const std::string dir = ::testing::TempDir() + "pcmscrub_" + tag;
+    const ::testing::TestInfo *test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string id = std::string(test->test_suite_name()) + "." +
+        test->name() + "." + std::to_string(::getpid());
+    std::replace(id.begin(), id.end(), '/', '_');
+    return ::testing::TempDir() + "pcmscrub_" + id + "_" + name;
+}
+
+/** Delete a campaign's per-device snapshots and its directory. */
+void
+removeSnapshotDir(const std::string &dir)
+{
     for (std::uint64_t i = 0; i < 64; ++i) {
         char name[64];
         std::snprintf(name, sizeof(name), "/device_%llu.snap",
@@ -29,6 +46,14 @@ freshSnapshotDir(const std::string &tag)
         std::remove((dir + name).c_str());
         std::remove((dir + name + ".1").c_str());
     }
+    ::rmdir(dir.c_str());
+}
+
+std::string
+freshSnapshotDir(const std::string &tag)
+{
+    const std::string dir = tempPath(tag);
+    removeSnapshotDir(dir);
     return dir;
 }
 
@@ -69,6 +94,7 @@ runAt(FleetBackendKind backend, bool chaos, unsigned threads,
     ThreadPool::global().resize(threads);
     const FleetResult result = runFleet(config);
     ThreadPool::global().resize(1);
+    removeSnapshotDir(config.snapshotDir);
     return result;
 }
 

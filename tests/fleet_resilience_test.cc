@@ -8,23 +8,38 @@
  * coverage bucket.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <string>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "fleet/fleet_runner.hh"
 
 namespace pcmscrub {
 namespace {
 
+/**
+ * A temp path private to the running test and process: ctest runs
+ * every test case as its own process, concurrently under -j.
+ */
 std::string
-freshSnapshotDir(const std::string &tag)
+tempPath(const std::string &name)
 {
-    const std::string dir = ::testing::TempDir() + "pcmscrub_" + tag;
-    // Stale per-device snapshots would be resumed by the next
-    // campaign; tests always start from an empty directory.
+    const ::testing::TestInfo *test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string id = std::string(test->test_suite_name()) + "." +
+        test->name() + "." + std::to_string(::getpid());
+    std::replace(id.begin(), id.end(), '/', '_');
+    return ::testing::TempDir() + "pcmscrub_" + id + "_" + name;
+}
+
+/** Delete a campaign's per-device snapshots and its directory. */
+void
+removeSnapshotDir(const std::string &dir)
+{
     for (std::uint64_t i = 0; i < 64; ++i) {
         char name[64];
         std::snprintf(name, sizeof(name), "/device_%llu.snap",
@@ -32,6 +47,16 @@ freshSnapshotDir(const std::string &tag)
         std::remove((dir + name).c_str());
         std::remove((dir + name + ".1").c_str());
     }
+    ::rmdir(dir.c_str());
+}
+
+std::string
+freshSnapshotDir(const std::string &tag)
+{
+    const std::string dir = tempPath(tag);
+    // Stale per-device snapshots would be resumed by the next
+    // campaign; tests always start from an empty directory.
+    removeSnapshotDir(dir);
     return dir;
 }
 
@@ -65,10 +90,14 @@ smallCampaign(const std::string &tag, bool chaos)
 
 TEST(FleetResilienceTest, ChaosCampaignDegradesGracefully)
 {
-    const FleetResult clean =
-        runFleet(smallCampaign("resilience_clean", false));
-    const FleetResult chaotic =
-        runFleet(smallCampaign("resilience_chaos", true));
+    const FleetConfig cleanConfig =
+        smallCampaign("resilience_clean", false);
+    const FleetConfig chaoticConfig =
+        smallCampaign("resilience_chaos", true);
+    const FleetResult clean = runFleet(cleanConfig);
+    const FleetResult chaotic = runFleet(chaoticConfig);
+    removeSnapshotDir(cleanConfig.snapshotDir);
+    removeSnapshotDir(chaoticConfig.snapshotDir);
     const std::uint64_t devices = clean.devices.size();
     ASSERT_EQ(chaotic.devices.size(), devices);
 
@@ -128,6 +157,7 @@ TEST(FleetResilienceTest, ManifestAccountsForEveryDevice)
 {
     const FleetConfig config = smallCampaign("manifest", true);
     const FleetResult result = runFleet(config);
+    removeSnapshotDir(config.snapshotDir);
     const std::string json = fleetManifestJson(config, result);
 
     EXPECT_NE(json.find("pcmscrub.fleet_manifest.v1"),

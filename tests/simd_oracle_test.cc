@@ -148,140 +148,6 @@ TEST(SimdOracle, SenseAvx2AgreesWithScalarHelperDirectly)
 }
 
 /**
- * The per-cell CellModel loop the lazy-drift kernel replaced —
- * read-at-write-tick target check plus the cleanUntil minimum — as
- * an independent oracle for computeLazyLine.
- */
-kernels::LazyLineResult
-lazyOracle(const CellStorage &store, const CellModel &model,
-           std::size_t line, std::size_t cells)
-{
-    kernels::LazyLineResult out;
-    const Tick writeTick = store.lineLastWriteTick(line);
-    const std::uint64_t *words = store.intendedWords(line);
-    Tick until = kNeverTick;
-    for (std::size_t i = 0; i < cells; ++i) {
-        const Cell cell =
-            store.loadPhysics(line * store.cellsPerLine() + i);
-        if (cell.stuck)
-            return out;
-        const std::size_t bit = 2 * i;
-        const unsigned target = grayToLevel(static_cast<std::uint8_t>(
-            (words[bit >> 6] >> (bit & 63u)) & 3u));
-        if (model.read(cell, writeTick) != target)
-            return out;
-        const Tick cellClean = model.cleanUntil(cell);
-        if (cellClean < until)
-            until = cellClean;
-    }
-    if (until < writeTick)
-        return out;
-    out.eligible = true;
-    out.cleanUntil = until;
-    return out;
-}
-
-/**
- * Lazy-eligibility kernel vs the CellModel oracle, on adversarial
- * planes: random quantized codes (which park crossings at every
- * magnitude, including the near-overflow band the vector path must
- * peel to scalar), stuck sentinels, sub-vector tails, diverged
- * write clocks, and intended words that match everywhere, mismatch
- * in one cell, or are simply random. Scalar and AVX2 dispatch must
- * both equal the oracle bit for bit.
- */
-TEST(SimdOracle, LazyEligibilityMatchesModelOnAdversarialPlanes)
-{
-    SimdSwitch restore;
-    const DeviceConfig config;
-    const CellModel model(config);
-    for (const std::size_t cells : kCellCounts) {
-        for (const double stuckFraction : {0.0, 0.02}) {
-            CellStorage store;
-            CellStorage::Geometry g;
-            g.lines = 6;
-            g.cellsPerLine = cells;
-            g.intendedWordsPerLine = (2 * cells + 63) / 64;
-            g.auxPlanes = false;
-            g.manufSeed = 13;
-            store.configure(g);
-            store.ensureSpec(config);
-            Random rng(cells * 31 +
-                       static_cast<std::uint64_t>(stuckFraction *
-                                                  1000));
-            randomizePlanes(store, rng, stuckFraction);
-
-            kernels::DriftCrossLut lut;
-            lut.init(config, store.spec());
-
-            const std::size_t bits = 2 * cells - 1; // Odd width.
-            for (std::size_t line = 0; line < g.lines; ++line) {
-                // Write clocks per line, far enough apart to land
-                // crossings on both sides of each tick.
-                const Tick writeTick =
-                    secondsToTicks(1.0 + 3600.0 * line);
-                store.setLineMeta(line, writeTick, 1 + line);
-                // Line 2 diverges a few cells onto older clocks
-                // (the scalar-fallback shape differential writes
-                // leave behind).
-                if (line == 2) {
-                    for (std::size_t i = 0; i < cells; i += 3) {
-                        store.setWriteTick(
-                            line * store.cellsPerLine() + i,
-                            writeTick / 2);
-                    }
-                }
-                // Intended words: lines 0-2 match every live cell's
-                // write-time read (the deep path), line 3
-                // mismatches exactly one cell, the rest keep the
-                // all-zero plane (mismatch at the first non-zero
-                // read).
-                if (line <= 3) {
-                    std::vector<std::uint64_t> words(
-                        g.intendedWordsPerLine, 0);
-                    for (std::size_t i = 0; i < cells; ++i) {
-                        const Cell cell = store.loadPhysics(
-                            line * store.cellsPerLine() + i);
-                        std::uint64_t sym = levelToGray(
-                            static_cast<std::uint8_t>(
-                                model.read(cell, writeTick)));
-                        if (line == 3 && i == cells / 2)
-                            sym ^= 1u;
-                        words[(2 * i) >> 6] |= sym
-                            << ((2 * i) & 63u);
-                    }
-                    store.setIntended(
-                        line, BitVector::fromWords(bits, words));
-                }
-
-                SCOPED_TRACE("cells " + std::to_string(cells) +
-                             " line " + std::to_string(line) +
-                             " stuck " +
-                             std::to_string(stuckFraction));
-                const kernels::LazyLineResult want =
-                    lazyOracle(store, model, line, cells);
-                const CellConstSpan span =
-                    store.constSpan(line, cells);
-                simd::setEnabled(false);
-                const kernels::LazyLineResult scalar =
-                    kernels::computeLazyLine(
-                        span, store.intendedWords(line), writeTick,
-                        config, lut);
-                simd::setEnabled(true);
-                const kernels::LazyLineResult vector =
-                    kernels::computeLazyLine(
-                        span, store.intendedWords(line), writeTick,
-                        config, lut);
-                EXPECT_EQ(scalar.eligible, want.eligible);
-                EXPECT_EQ(scalar.cleanUntil, want.cleanUntil);
-                EXPECT_EQ(vector.eligible, want.eligible);
-                EXPECT_EQ(vector.cleanUntil, want.cleanUntil);
-            }
-        }
-    }
-}
-
-/**
  * Encode random payloads, inject 0..t+2 random bit errors, and
  * decode with each path: status, corrected-bit count, and the final
  * codeword must match bit for bit — including Uncorrectable

@@ -7,6 +7,7 @@
  * diagnostic, never a silently wrong resume.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/serialize.hh"
 #include "scrub/analytic_backend.hh"
@@ -25,10 +27,19 @@
 namespace pcmscrub {
 namespace {
 
+/**
+ * A temp path private to the running test and process: ctest runs
+ * every test case as its own process, concurrently under -j.
+ */
 std::string
 tempPath(const std::string &name)
 {
-    return ::testing::TempDir() + "pcmscrub_" + name;
+    const ::testing::TestInfo *test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string id = std::string(test->test_suite_name()) + "." +
+        test->name() + "." + std::to_string(::getpid());
+    std::replace(id.begin(), id.end(), '/', '_');
+    return ::testing::TempDir() + "pcmscrub_" + id + "_" + name;
 }
 
 std::vector<std::uint8_t>

@@ -6,8 +6,10 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/table.hh"
 
@@ -29,7 +31,9 @@ TEST(Table, CsvRoundTrip)
     t.row().cell("basic").cellSci(1.25e-7, 2);
     t.row().cell("combined").cell(std::uint64_t{7});
 
-    const std::string path = ::testing::TempDir() + "table_test.csv";
+    const std::string path = ::testing::TempDir() + "pcmscrub_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "." + std::to_string(::getpid()) + ".csv";
     ASSERT_TRUE(t.writeCsv(path));
 
     std::ifstream in(path);

@@ -4,8 +4,10 @@
  */
 
 #include <map>
+#include <string>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "sim/trace.hh"
 #include "sim/workload.hh"
@@ -132,7 +134,9 @@ TEST(Trace, SaveLoadRoundTrip)
     WorkloadConfig config;
     Workload workload(config, 10);
     const Trace original = Trace::capture(workload, 200);
-    const std::string path = ::testing::TempDir() + "trace_test.txt";
+    const std::string path = ::testing::TempDir() + "pcmscrub_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "." + std::to_string(::getpid()) + ".txt";
     ASSERT_TRUE(original.save(path));
     const Trace loaded = Trace::load(path);
     ASSERT_EQ(loaded.size(), original.size());
