@@ -59,6 +59,7 @@ main(int argc, char **argv)
 
     const DeviceConfig config;
     const DriftModel model(config);
+    model.prewarm();
     Random rng(opt.seed);
 
     std::printf("E1: per-cell drift soft-error probability vs. age\n");

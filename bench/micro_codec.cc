@@ -113,6 +113,7 @@ void
 BM_DriftCellErrorProb(benchmark::State &state)
 {
     const DriftModel model{DeviceConfig{}};
+    model.prewarm();
     double t = 100.0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(model.cellErrorProb(t));

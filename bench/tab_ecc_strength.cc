@@ -51,6 +51,7 @@ main(int argc, char **argv)
 
     const DeviceConfig device;
     const DriftModel model(device);
+    model.prewarm();
 
     std::printf("E3: P(line uncorrectable) by ECC scheme and age\n");
 

@@ -1,5 +1,7 @@
 #include "common/math.hh"
 
+#include <limits>
+
 #include "common/logging.hh"
 
 namespace pcmscrub {
@@ -62,8 +64,32 @@ qfuncInv(double p)
     return x;
 }
 
+namespace {
+
+/**
+ * log|Gamma(x)|. std::lgamma stores the sign in the global `signgam`,
+ * a data race when shard tasks evaluate horizons concurrently; the
+ * reentrant form computes the same value.
+ */
 double
-binomialPmf(unsigned n, double p, unsigned k)
+logGamma(double x)
+{
+    int sign;
+    return ::lgamma_r(x, &sign);
+}
+
+} // namespace
+
+double
+logChoose(unsigned n, unsigned k)
+{
+    if (k > n)
+        return -std::numeric_limits<double>::infinity();
+    return logGamma(n + 1.0) - logGamma(k + 1.0) - logGamma(n - k + 1.0);
+}
+
+double
+binomialPmf(unsigned n, double p, unsigned k, double log_choose)
 {
     if (k > n)
         return 0.0;
@@ -71,15 +97,20 @@ binomialPmf(unsigned n, double p, unsigned k)
         return k == 0 ? 1.0 : 0.0;
     if (p >= 1.0)
         return k == n ? 1.0 : 0.0;
-    const double logChoose = std::lgamma(n + 1.0) - std::lgamma(k + 1.0) -
-        std::lgamma(n - k + 1.0);
-    const double logPmf = logChoose + k * std::log(p) +
+    const double logPmf = log_choose + k * std::log(p) +
         (n - k) * std::log1p(-p);
     return std::exp(logPmf);
 }
 
 double
-binomialTailAbove(unsigned n, double p, unsigned k)
+binomialPmf(unsigned n, double p, unsigned k)
+{
+    return binomialPmf(n, p, k, logChoose(n, k));
+}
+
+double
+binomialTailAbove(unsigned n, double p, unsigned k,
+                  double log_choose_next)
 {
     if (p <= 0.0)
         return 0.0;
@@ -91,7 +122,7 @@ binomialTailAbove(unsigned n, double p, unsigned k)
     // Sum the upper tail starting from k+1. For small p the first
     // term dominates; summing upward keeps everything positive and
     // avoids the 1-minus cancellation that would lose the tiny tail.
-    double term = binomialPmf(n, p, k + 1);
+    double term = binomialPmf(n, p, k + 1, log_choose_next);
     double sum = term;
     const double odds = p / (1.0 - p);
     for (unsigned j = k + 2; j <= n; ++j) {
@@ -102,6 +133,12 @@ binomialTailAbove(unsigned n, double p, unsigned k)
             break;
     }
     return sum > 1.0 ? 1.0 : sum;
+}
+
+double
+binomialTailAbove(unsigned n, double p, unsigned k)
+{
+    return binomialTailAbove(n, p, k, logChoose(n, k + 1));
 }
 
 } // namespace pcmscrub

@@ -50,6 +50,9 @@ log1mexp(double x)
     return std::log1p(-std::exp(x));
 }
 
+/** log C(n, k) via lgamma; -infinity when k > n. */
+double logChoose(unsigned n, unsigned k);
+
 /**
  * Probability that a Binomial(n, p) exceeds k, computed stably for
  * tiny p and moderate n (the per-line uncorrectable-error question:
@@ -57,8 +60,20 @@ log1mexp(double x)
  */
 double binomialTailAbove(unsigned n, double p, unsigned k);
 
+/**
+ * binomialTailAbove with `log_choose_next` = logChoose(n, k + 1)
+ * supplied by the caller, so loops over p (the horizon bisections)
+ * pay for the lgamma calls once. Bit-identical to the three-argument
+ * form, which delegates here.
+ */
+double binomialTailAbove(unsigned n, double p, unsigned k,
+                         double log_choose_next);
+
 /** Binomial PMF P(X = k) computed in the log domain. */
 double binomialPmf(unsigned n, double p, unsigned k);
+
+/** binomialPmf with `log_choose` = logChoose(n, k) precomputed. */
+double binomialPmf(unsigned n, double p, unsigned k, double log_choose);
 
 } // namespace pcmscrub
 

@@ -21,6 +21,7 @@ DriftModel::DriftModel(const DeviceConfig &config)
     : config_(config)
 {
     config_.validate();
+    strata_ = speedStrata(1.0);
 }
 
 double
@@ -42,14 +43,41 @@ DriftModel::speedAtQuantile(double u) const
     return std::exp(config_.driftSpeedSigmaLn * qfuncInv(1.0 - u));
 }
 
+DriftModel::SpeedStrata
+DriftModel::speedStrata(double quantile) const
+{
+    // Without speed spread every cell drifts at the nominal speed:
+    // one stratum of weight 1 (0 + 1*f is exactly f).
+    if (config_.driftSpeedSigmaLn == 0.0)
+        return SpeedStrata{{{1.0, 1.0}}};
+    SpeedStrata strata;
+    const auto addRange = [&](double lo, double hi, unsigned n) {
+        const double weight = (hi - lo) / quantile /
+            static_cast<double>(n);
+        for (unsigned i = 0; i < n; ++i) {
+            const double u = lo + (hi - lo) *
+                (static_cast<double>(i) + 0.5) / n;
+            strata.strata.push_back({weight, speedAtQuantile(u)});
+        }
+    };
+    addRange(0.0, 0.9 * quantile, 32);
+    double lo = 0.9;
+    for (double frac = 0.01; frac >= 1e-8; frac /= 10.0) {
+        const double hi = 1.0 - frac;
+        addRange(lo * quantile, hi * quantile, 8);
+        lo = hi;
+    }
+    addRange(lo * quantile, (1.0 - 1e-9) * quantile, 4);
+    return strata;
+}
+
 double
-DriftModel::levelErrorProbGivenSpeed(unsigned level, double t_seconds,
-                                     double speed) const
+DriftModel::levelErrorProbAtLogAge(unsigned level, double u,
+                                   double speed) const
 {
     PCMSCRUB_ASSERT(level < mlcLevels, "bad level %u", level);
     if (!config_.hasUpperThreshold(level))
         return 0.0;
-    const double u = logAge(t_seconds);
     const double mu = config_.driftMu[level] * speed;
     const double sigmaNu = config_.driftSigma(level) * speed;
     const double margin = config_.readThresholdLogR[level] -
@@ -61,61 +89,25 @@ DriftModel::levelErrorProbGivenSpeed(unsigned level, double t_seconds,
 }
 
 double
-DriftModel::cellErrorProbGivenSpeed(double t_seconds, double speed) const
+DriftModel::levelErrorProbGivenSpeed(unsigned level, double t_seconds,
+                                     double speed) const
+{
+    return levelErrorProbAtLogAge(level, logAge(t_seconds), speed);
+}
+
+double
+DriftModel::cellErrorProbAtLogAge(double u, double speed) const
 {
     double sum = 0.0;
     for (unsigned l = 0; l < mlcLevels; ++l)
-        sum += levelErrorProbGivenSpeed(l, t_seconds, speed);
+        sum += levelErrorProbAtLogAge(l, u, speed);
     return sum / static_cast<double>(mlcLevels);
 }
 
-namespace {
-
-/**
- * Stratified average of f(speed) over the intrinsic-speed
- * distribution truncated at the `quantile` cut.
- *
- * The log-normal tail carries disproportionate error probability at
- * short ages (the fastest 0.1% of cells fail orders of magnitude
- * earlier than the median cell), so the stratification refines
- * geometrically toward the top: uniform strata over the bulk, then
- * eight strata per decade of remaining tail mass down to 1e-8.
- */
-template <typename F>
 double
-averageOverSpeeds(double quantile, F f)
+DriftModel::cellErrorProbGivenSpeed(double t_seconds, double speed) const
 {
-    double sum = 0.0;
-    const auto addRange = [&](double lo, double hi, unsigned n) {
-        const double weight = (hi - lo) / quantile /
-            static_cast<double>(n);
-        for (unsigned i = 0; i < n; ++i) {
-            const double u = lo + (hi - lo) *
-                (static_cast<double>(i) + 0.5) / n;
-            sum += weight * f(u);
-        }
-    };
-    addRange(0.0, 0.9 * quantile, 32);
-    double lo = 0.9;
-    for (double frac = 0.01; frac >= 1e-8; frac /= 10.0) {
-        const double hi = 1.0 - frac;
-        addRange(lo * quantile, hi * quantile, 8);
-        lo = hi;
-    }
-    addRange(lo * quantile, (1.0 - 1e-9) * quantile, 4);
-    return sum;
-}
-
-} // namespace
-
-double
-DriftModel::mixtureCellErrorProb(double t_seconds, double quantile) const
-{
-    if (config_.driftSpeedSigmaLn == 0.0)
-        return cellErrorProbGivenSpeed(t_seconds, 1.0);
-    return averageOverSpeeds(quantile, [this, t_seconds](double u) {
-        return cellErrorProbGivenSpeed(t_seconds, speedAtQuantile(u));
-    });
+    return cellErrorProbAtLogAge(logAge(t_seconds), speed);
 }
 
 double
@@ -124,62 +116,79 @@ DriftModel::levelErrorProb(unsigned level, double t_seconds) const
     PCMSCRUB_ASSERT(level < mlcLevels, "bad level %u", level);
     if (!config_.hasUpperThreshold(level))
         return 0.0;
-    if (config_.driftSpeedSigmaLn == 0.0)
-        return levelErrorProbGivenSpeed(level, t_seconds, 1.0);
-    return averageOverSpeeds(
-        1.0, [this, level, t_seconds](double u) {
-            return levelErrorProbGivenSpeed(level, t_seconds,
-                                            speedAtQuantile(u));
-        });
+    const double u = logAge(t_seconds);
+    return strata_.average([this, level, u](double speed) {
+        return levelErrorProbAtLogAge(level, u, speed);
+    });
 }
 
 template <typename Eval>
-double
-DriftModel::lookup(AgeTable &table, double t_seconds, Eval eval) const
+DriftModel::AgeTable
+DriftModel::tabulate(Eval eval) const
 {
-    if (!table.built) {
-        table.values.resize(tableSize);
-        for (unsigned i = 0; i < tableSize; ++i) {
-            const double t = config_.driftT0Seconds *
-                std::pow(10.0, static_cast<double>(i) * logAgeStep);
-            table.values[i] = eval(t);
-        }
-        table.built = true;
+    AgeTable table(tableSize);
+    for (unsigned i = 0; i < tableSize; ++i) {
+        const double t = config_.driftT0Seconds *
+            std::pow(10.0, static_cast<double>(i) * logAgeStep);
+        table[i] = eval(logAge(t));
     }
+    return table;
+}
+
+DriftModel::AgeTable
+DriftModel::cellErrorTable(const SpeedStrata &strata) const
+{
+    return tabulate([this, &strata](double u) {
+        return strata.average([this, u](double speed) {
+            return cellErrorProbAtLogAge(u, speed);
+        });
+    });
+}
+
+double
+DriftModel::interpolate(const AgeTable &table, double t_seconds) const
+{
+    PCMSCRUB_ASSERT(!table.empty(),
+                    "drift table read before prewarm()");
     const double u = logAge(t_seconds);
     const double position = u / logAgeStep;
     const auto index = static_cast<unsigned>(position);
     if (index + 1 >= tableSize)
-        return table.values.back();
+        return table.back();
     const double frac = position - static_cast<double>(index);
-    return table.values[index] * (1.0 - frac) +
-        table.values[index + 1] * frac;
+    return table[index] * (1.0 - frac) + table[index + 1] * frac;
 }
 
 double
 DriftModel::cellErrorProb(double t_seconds) const
 {
-    return lookup(cellErrorTable_, t_seconds, [this](double t) {
-        return mixtureCellErrorProb(t, 1.0);
-    });
+    return interpolate(cellErrorTable_, t_seconds);
 }
 
-DriftModel::AgeTable &
+namespace {
+
+long
+bulkKey(double quantile)
+{
+    return std::lround(quantile * 1e6);
+}
+
+} // namespace
+
+const DriftModel::AgeTable &
 DriftModel::bulkTable(double quantile) const
 {
-    const long key = std::lround(quantile * 1e6);
-    return bulkTables_[key];
+    const auto it = bulkTables_.find(bulkKey(quantile));
+    PCMSCRUB_ASSERT(it != bulkTables_.end(),
+                    "bulk quantile %f read before prewarmBulk()",
+                    quantile);
+    return it->second;
 }
 
 double
 DriftModel::bulkCellErrorProb(double t_seconds, double quantile) const
 {
-    PCMSCRUB_ASSERT(quantile > 0.0 && quantile <= 1.0,
-                    "bulk quantile %f out of range", quantile);
-    return lookup(bulkTable(quantile), t_seconds,
-                  [this, quantile](double t) {
-                      return mixtureCellErrorProb(t, quantile);
-                  });
+    return interpolate(bulkTable(quantile), t_seconds);
 }
 
 double
@@ -270,14 +279,17 @@ DriftModel::timeToConditionalUncorrectable(unsigned cells,
     // few chronic cells sit inside the ECC budget.
     const double quantile = 1.0 -
         static_cast<double>(current_errors) / static_cast<double>(cells);
-    const double p1 = bulkCellErrorProb(age_now, quantile);
+    const AgeTable &bulk = bulkTable(quantile);
+    const double p1 = interpolate(bulk, age_now);
+    const double logChooseNext = logChoose(healthy, budget + 1);
     const double horizon = bisectAge(
-        [this, healthy, budget, p1, quantile](double t) {
-            const double p2 = bulkCellErrorProb(t, quantile);
+        [this, &bulk, healthy, budget, p1, logChooseNext](double t) {
+            const double p2 = interpolate(bulk, t);
             if (p2 <= p1)
                 return 0.0;
             const double growth = (p2 - p1) / (1.0 - p1);
-            return binomialTailAbove(healthy, growth, budget);
+            return binomialTailAbove(healthy, growth, budget,
+                                     logChooseNext);
         },
         p_ue);
     return horizon > age_now ? horizon - age_now : 0.0;
@@ -295,16 +307,12 @@ DriftModel::timeToExpectedErrors(unsigned cells, double k) const
 }
 
 double
-DriftModel::levelMarginFlagProb(unsigned level, double t_seconds) const
+DriftModel::levelMarginFlagProbAtLogAge(unsigned level, double u) const
 {
     PCMSCRUB_ASSERT(level < mlcLevels, "bad level %u", level);
     if (!config_.hasUpperThreshold(level))
         return 0.0;
-    const auto flagGivenSpeed = [this, level,
-                                 t_seconds](double quantile) {
-        const double speed = config_.driftSpeedSigmaLn == 0.0
-            ? 1.0 : speedAtQuantile(quantile);
-        const double u = logAge(t_seconds);
+    return strata_.average([this, level, u](double speed) {
         const double mu = config_.driftMu[level] * speed;
         const double sigmaNuU = config_.driftSigma(level) * speed * u;
         const double mean = config_.levelMeanLogR[level] + mu * u;
@@ -316,37 +324,46 @@ DriftModel::levelMarginFlagProb(unsigned level, double t_seconds) const
         // Flagged = still reads correctly but sits inside the guard
         // band below the threshold: P(bandLow < logR <= T_l).
         const double aboveBand = qfunc((bandLow - mean) / sigma);
-        return aboveBand -
-            levelErrorProbGivenSpeed(level, t_seconds, speed);
-    };
-    if (config_.driftSpeedSigmaLn == 0.0)
-        return flagGivenSpeed(0.5);
-    return averageOverSpeeds(1.0, flagGivenSpeed);
+        return aboveBand - levelErrorProbAtLogAge(level, u, speed);
+    });
+}
+
+double
+DriftModel::levelMarginFlagProb(unsigned level, double t_seconds) const
+{
+    return levelMarginFlagProbAtLogAge(level, logAge(t_seconds));
 }
 
 void
 DriftModel::prewarm() const
 {
-    // Any age builds the whole log-time grid.
-    cellErrorProb(config_.driftT0Seconds * 2.0);
-    cellMarginFlagProb(config_.driftT0Seconds * 2.0);
+    if (cellErrorTable_.empty())
+        cellErrorTable_ = cellErrorTable(strata_);
+    if (marginFlagTable_.empty()) {
+        marginFlagTable_ = tabulate([this](double u) {
+            double sum = 0.0;
+            for (unsigned l = 0; l < mlcLevels; ++l)
+                sum += levelMarginFlagProbAtLogAge(l, u);
+            return sum / static_cast<double>(mlcLevels);
+        });
+    }
 }
 
 void
 DriftModel::prewarmBulk(double quantile) const
 {
-    bulkCellErrorProb(config_.driftT0Seconds * 2.0, quantile);
+    PCMSCRUB_ASSERT(quantile > 0.0 && quantile <= 1.0,
+                    "bulk quantile %f out of range", quantile);
+    AgeTable &table = bulkTables_[bulkKey(quantile)];
+    if (!table.empty())
+        return;
+    table = cellErrorTable(speedStrata(quantile));
 }
 
 double
 DriftModel::cellMarginFlagProb(double t_seconds) const
 {
-    return lookup(marginFlagTable_, t_seconds, [this](double t) {
-        double sum = 0.0;
-        for (unsigned l = 0; l < mlcLevels; ++l)
-            sum += levelMarginFlagProb(l, t);
-        return sum / static_cast<double>(mlcLevels);
-    });
+    return interpolate(marginFlagTable_, t_seconds);
 }
 
 } // namespace pcmscrub

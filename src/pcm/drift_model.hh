@@ -55,9 +55,9 @@ class DriftModel
 
     /**
      * Error probability of a cell holding uniformly-random data at
-     * age t: the mean of levelErrorProb over all levels. Backed by
-     * a lazily built log-time lookup table (the scrub engine calls
-     * this on every line visit).
+     * age t: the mean of levelErrorProb over all levels. Read from
+     * a log-time lookup table that prewarm() builds (the scrub
+     * engine calls this on every line visit).
      */
     double cellErrorProb(double t_seconds) const;
 
@@ -65,7 +65,7 @@ class DriftModel
      * Error probability of a random-data cell *conditioned on its
      * intrinsic speed lying below the q-quantile* — the "bulk"
      * population left after a backend carves out the fastest cells
-     * for individual tracking.
+     * for individual tracking. Table-backed; see prewarmBulk().
      */
     double bulkCellErrorProb(double t_seconds, double quantile) const;
 
@@ -144,43 +144,98 @@ class DriftModel
      */
     double levelMarginFlagProb(unsigned level, double t_seconds) const;
 
-    /** Margin-flag probability for uniformly-random data. */
+    /**
+     * Margin-flag probability for uniformly-random data. Table-backed;
+     * see prewarm().
+     */
     double cellMarginFlagProb(double t_seconds) const;
 
     /**
-     * Build the lazily-constructed cell-error and margin-flag lookup
-     * tables now. The tables are mutable caches filled on first use;
-     * parallel engine code prewarns them from a serial context so
-     * concurrent readers never race a builder.
+     * Build the cell-error and margin-flag lookup tables (idempotent).
+     * Every table is built only here and in prewarmBulk(), from
+     * serial code; afterwards the tables are read-only, so parallel
+     * shard tasks may read them concurrently. cellErrorProb(),
+     * cellMarginFlagProb() and everything built on them (the line
+     * probabilities and the timeTo* searches except the conditional
+     * one) assert that prewarm() ran.
      */
     void prewarm() const;
 
-    /** Prewarm the bulk-population table for one quantile. */
+    /**
+     * Build the bulk-population table for one quantile (idempotent).
+     * bulkCellErrorProb() and timeToConditionalUncorrectable() assert
+     * that their quantile was prewarmed.
+     */
     void prewarmBulk(double quantile) const;
 
   private:
-    double logAge(double t_seconds) const;
-
-    /** Stratified average over the intrinsic-speed distribution. */
-    double mixtureCellErrorProb(double t_seconds,
-                                double quantile) const;
-
-    /** Lazily built log-time lookup table. */
-    struct AgeTable
+    /**
+     * Stratified quadrature of the log-normal intrinsic-speed
+     * distribution truncated at a quantile cut: (weight, speed) pairs.
+     *
+     * The log-normal tail carries disproportionate error probability at
+     * short ages (the fastest 0.1% of cells fail orders of magnitude
+     * earlier than the median cell), so the strata refine geometrically
+     * toward the top: uniform strata over the bulk, then eight strata
+     * per decade of remaining tail mass down to 1e-8. The speeds depend
+     * only on the quantile, so a table builder computes them once and
+     * reuses them at every grid age.
+     */
+    struct SpeedStrata
     {
-        bool built = false;
-        std::vector<double> values;
+        struct Stratum
+        {
+            double weight;
+            double speed;
+        };
+        std::vector<Stratum> strata;
+
+        /** Weighted sum of f(speed), in stratum order. */
+        template <typename F>
+        double average(F f) const
+        {
+            double sum = 0.0;
+            for (const Stratum &stratum : strata)
+                sum += stratum.weight * f(stratum.speed);
+            return sum;
+        }
     };
 
-    /** Interpolated lookup; builds the table on first use. */
-    template <typename Eval>
-    double lookup(AgeTable &table, double t_seconds,
-                  Eval eval) const;
+    double logAge(double t_seconds) const;
 
-    /** Cached bulk table for one quantile. */
-    AgeTable &bulkTable(double quantile) const;
+    /** levelErrorProbGivenSpeed at log-age u = logAge(t). */
+    double levelErrorProbAtLogAge(unsigned level, double u,
+                                  double speed) const;
+
+    /** cellErrorProbGivenSpeed at log-age u. */
+    double cellErrorProbAtLogAge(double u, double speed) const;
+
+    /** levelMarginFlagProb at log-age u. */
+    double levelMarginFlagProbAtLogAge(unsigned level, double u) const;
+
+    /** Strata of the speed distribution truncated at `quantile`. */
+    SpeedStrata speedStrata(double quantile) const;
+
+    /** Log-time lookup table; empty until prewarmed. */
+    using AgeTable = std::vector<double>;
+
+    /** Tabulate eval(u) over the log-time grid. */
+    template <typename Eval>
+    AgeTable tabulate(Eval eval) const;
+
+    /** cellErrorProbAtLogAge averaged over `strata`, tabulated. */
+    AgeTable cellErrorTable(const SpeedStrata &strata) const;
+
+    /** Interpolated read of a prewarmed table. */
+    double interpolate(const AgeTable &table, double t_seconds) const;
+
+    /** The prewarmed bulk table for one quantile. */
+    const AgeTable &bulkTable(double quantile) const;
 
     DeviceConfig config_;
+
+    /** Strata of the whole population (quantile 1). */
+    SpeedStrata strata_;
 
     mutable AgeTable cellErrorTable_;
     mutable AgeTable marginFlagTable_;

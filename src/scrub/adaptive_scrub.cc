@@ -32,6 +32,9 @@ AdaptiveScrub::AdaptiveScrub(const AdaptiveParams &params,
     if (params_.minSpacingFraction <= 0.0)
         fatal("adaptive minimum spacing must be positive");
 
+    // The safe-age search reads the cell-error table; the analytic
+    // backend has prewarmed it already, the cell backend has not.
+    backend.drift().prewarm();
     const double safeAgeSeconds = backend.drift().timeToLineUncorrectable(
         backend.cellsPerLine(), eccT_, params_.targetLineUeProb);
     safeAgeTicks_ = secondsToTicks(safeAgeSeconds);
@@ -47,12 +50,12 @@ AdaptiveScrub::AdaptiveScrub(const AdaptiveParams &params,
     regionDue_.assign(regions, safeAgeTicks_);
     regionWorstErrors_.assign(regions, 0);
 
-    // Build the drift model's lazy conditional-bulk tables now, from
-    // this serial context: wake() evaluates them from parallel shard
-    // tasks, which must only ever *read*. Every errors_left value
-    // lineHorizon can see is below the rewrite threshold (and the
-    // model early-outs past the ECC budget), so this covers all
-    // reachable quantiles.
+    // Build the drift model's conditional-bulk tables now, from this
+    // serial context: wake() evaluates them from parallel shard
+    // tasks, which only *read* (a quantile missed here asserts).
+    // Every errors_left value lineHorizon can see is below the
+    // rewrite threshold (and the model early-outs past the ECC
+    // budget), so this covers all reachable quantiles.
     const unsigned cells = backend.cellsPerLine();
     const unsigned maxErrors = std::min<unsigned>(
         eccT_,
@@ -138,10 +141,25 @@ AdaptiveScrub::wake(ScrubBackend &backend, Tick now)
         unsigned worst;
         Tick horizon;
     };
+    // Dispatch only the shards that own a due line, ascending: a
+    // typical wake has one due region inside one shard, and the
+    // others would only find nothing to do.
     const ShardPlan plan = backend.shardPlan();
-    std::vector<std::vector<Partial>> partials(plan.count());
+    std::vector<std::size_t> shards;
+    for (const std::uint64_t region : due) {
+        const LineIndex regionStart = region * params_.linesPerRegion;
+        const LineIndex regionLast = std::min<LineIndex>(
+            regionStart + params_.linesPerRegion, lineCount_) - 1;
+        std::size_t shard = plan.shardOf(regionStart);
+        if (!shards.empty() && shards.back() >= shard)
+            shard = shards.back() + 1;
+        for (; shard <= plan.shardOf(regionLast); ++shard)
+            shards.push_back(shard);
+    }
+    std::vector<std::vector<Partial>> partials(shards.size());
 
-    ThreadPool::global().run(plan.count(), [&](std::size_t shard) {
+    ThreadPool::global().run(shards.size(), [&](std::size_t task) {
+        const std::size_t shard = shards[task];
         const ShardRange range = plan.range(shard);
         HorizonCache cache;
         for (const std::uint64_t region : due) {
@@ -174,7 +192,7 @@ AdaptiveScrub::wake(ScrubBackend &backend, Tick now)
                     lineHorizon(backend, cache, result.errorsLeft,
                                 age));
             }
-            partials[shard].push_back({region, worst, horizon});
+            partials[task].push_back({region, worst, horizon});
         }
     });
 

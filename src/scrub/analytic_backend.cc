@@ -66,8 +66,8 @@ AnalyticBackend::AnalyticBackend(const AnalyticConfig &config)
     bulkQuantile_ = 1.0 -
         static_cast<double>(k) / static_cast<double>(cellsPerLine_);
 
-    // Build the drift model's lazy lookup tables before any parallel
-    // wake can race their construction.
+    // Build the drift model's lookup tables here, from serial code:
+    // parallel wakes only read them.
     drift_.prewarm();
     drift_.prewarmBulk(bulkQuantile_);
 

@@ -79,7 +79,10 @@ CellBackend::lineCount() const
 unsigned
 CellBackend::cellsPerLine() const
 {
-    return array_.line(0).cellCount();
+    // The array's MLC geometry, not any one line's: a line dropped to
+    // SLC uses one cell per bit, and line 0 may be such a line.
+    return static_cast<unsigned>(
+        (array_.codewordBits() + bitsPerCell - 1) / bitsPerCell);
 }
 
 BitVector

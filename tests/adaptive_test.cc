@@ -27,9 +27,22 @@ quiet(std::uint64_t lines, unsigned t = 8)
     return config;
 }
 
+/**
+ * A default model with the conditional-bulk tables of a 296-cell
+ * line holding up to 8 errors built.
+ */
+DriftModel
+conditionalModel()
+{
+    DriftModel model{DeviceConfig{}};
+    for (unsigned errors = 0; errors <= 8; ++errors)
+        model.prewarmBulk(1.0 - errors / 296.0);
+    return model;
+}
+
 TEST(ConditionalHorizon, ShrinksWithResidualErrors)
 {
-    const DriftModel model{DeviceConfig{}};
+    const DriftModel model = conditionalModel();
     const double age = 6.0 * 3600.0;
     double prev = 1e18;
     for (const unsigned errors : {0u, 2u, 4u, 6u}) {
@@ -55,7 +68,7 @@ TEST(ConditionalHorizon, OldCleanLinesEarnLongHorizons)
     // one week has a longer remaining horizon than one at age one
     // hour (with the tail conditioned out by the clean observation
     // both start from the same population, but growth slows).
-    const DriftModel model{DeviceConfig{}};
+    const DriftModel model = conditionalModel();
     const double young = model.timeToConditionalUncorrectable(
         296, 8, 0, 3600.0, 1e-7);
     const double old = model.timeToConditionalUncorrectable(
@@ -65,7 +78,7 @@ TEST(ConditionalHorizon, OldCleanLinesEarnLongHorizons)
 
 TEST(ConditionalHorizon, LooserTargetExtendsHorizon)
 {
-    const DriftModel model{DeviceConfig{}};
+    const DriftModel model = conditionalModel();
     const double strict = model.timeToConditionalUncorrectable(
         296, 8, 2, 3600.0, 1e-9);
     const double loose = model.timeToConditionalUncorrectable(

@@ -54,6 +54,7 @@ TEST(CellArray, DriftErrorsMatchAnalyticModel)
     // sampled array at age t should match cells * cellErrorProb(t).
     const DeviceConfig config;
     const DriftModel model(config);
+    model.prewarm();
     CellArray array(512, 512, config, 5);
     array.writeRandomAll(0);
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "scrub/cell_backend.hh"
 
 namespace pcmscrub {
@@ -28,6 +29,14 @@ TEST(CellBackend, GeometryMatchesCodec)
     EXPECT_EQ(bch.cellsPerLine(), 296u);
     const CellBackend secded(smallConfig(EccScheme::secdedX8()));
     EXPECT_EQ(secded.code().codewordBits(), 576u);
+
+    // The geometry is the array's, not line 0's: a line dropped to
+    // SLC uses one cell per bit.
+    CellBackend degraded(smallConfig(EccScheme::bch(8)));
+    Random rng(1);
+    degraded.array().line(0).setSlcMode(degraded.array().model(), rng);
+    ASSERT_EQ(degraded.array().line(0).cellCount(), 592u);
+    EXPECT_EQ(degraded.cellsPerLine(), 296u);
 }
 
 TEST(CellBackend, FreshLinesPassAllChecks)

@@ -4,15 +4,28 @@
  * cross-check against direct sampling of the same physics.
  */
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/math.hh"
 #include "common/random.hh"
 #include "pcm/drift_model.hh"
 
 namespace pcmscrub {
 namespace {
+
+/** A model whose cell-error and margin-flag tables are built. */
+DriftModel
+prewarmed(const DeviceConfig &config)
+{
+    DriftModel model{config};
+    model.prewarm();
+    return model;
+}
 
 TEST(DriftModel, TopLevelNeverDriftFails)
 {
@@ -61,7 +74,7 @@ TEST(DriftModel, CellErrorProbIsLevelAverage)
 {
     // cellErrorProb goes through the interpolated lookup table, so
     // agreement with the direct per-level average is to LUT accuracy.
-    const DriftModel model{DeviceConfig{}};
+    const DriftModel model = prewarmed(DeviceConfig{});
     const double t = 86400.0;
     double sum = 0.0;
     for (unsigned l = 0; l < mlcLevels; ++l)
@@ -75,7 +88,7 @@ TEST(DriftModel, DefaultConfigProducesPaperScaleRates)
     // Sanity-pin the regime the reconstruction targets: at a one-day
     // age the worst intermediate level must be failing at rates that
     // overwhelm SECDED but stay within strong-ECC reach.
-    const DriftModel model{DeviceConfig{}};
+    const DriftModel model = prewarmed(DeviceConfig{});
     const double day = 86400.0;
     const double pWorst = model.levelErrorProb(2, day);
     EXPECT_GT(pWorst, 1e-4);
@@ -86,7 +99,7 @@ TEST(DriftModel, DefaultConfigProducesPaperScaleRates)
 
 TEST(DriftModel, LineUncorrectableDropsSteeplyWithEccStrength)
 {
-    const DriftModel model{DeviceConfig{}};
+    const DriftModel model = prewarmed(DeviceConfig{});
     const double t = 3600.0;
     const unsigned cells = 256;
     double prev = model.lineUncorrectableProb(cells, t, 0);
@@ -103,7 +116,7 @@ TEST(DriftModel, LineUncorrectableDropsSteeplyWithEccStrength)
 
 TEST(DriftModel, ExpectedLineErrorsScalesWithCells)
 {
-    const DriftModel model{DeviceConfig{}};
+    const DriftModel model = prewarmed(DeviceConfig{});
     const double t = 1e5;
     EXPECT_NEAR(model.expectedLineErrors(512, t),
                 2.0 * model.expectedLineErrors(256, t), 1e-12);
@@ -111,7 +124,7 @@ TEST(DriftModel, ExpectedLineErrorsScalesWithCells)
 
 TEST(DriftModel, TimeToCellErrorProbInvertsForward)
 {
-    const DriftModel model{DeviceConfig{}};
+    const DriftModel model = prewarmed(DeviceConfig{});
     for (const double p : {1e-9, 1e-6, 1e-4}) {
         const double t = model.timeToCellErrorProb(p);
         EXPECT_GT(t, 1.0);
@@ -124,7 +137,7 @@ TEST(DriftModel, TimeToCellErrorProbInvertsForward)
 
 TEST(DriftModel, TimeToLineUncorrectableGrowsWithEcc)
 {
-    const DriftModel model{DeviceConfig{}};
+    const DriftModel model = prewarmed(DeviceConfig{});
     double prev = model.timeToLineUncorrectable(256, 1, 1e-12);
     for (unsigned t_ecc = 2; t_ecc <= 8; ++t_ecc) {
         const double t = model.timeToLineUncorrectable(256, t_ecc, 1e-12);
@@ -137,7 +150,7 @@ TEST(DriftModel, StrongEccExtendsScrubIntervalByOrdersOfMagnitude)
 {
     // The paper's core claim for strong ECC: the safe scrub interval
     // at equal reliability is vastly longer for BCH-8 than SECDED.
-    const DriftModel model{DeviceConfig{}};
+    const DriftModel model = prewarmed(DeviceConfig{});
     const double tSecded = model.timeToLineUncorrectable(256, 1, 1e-9);
     const double tBch8 = model.timeToLineUncorrectable(256, 8, 1e-9);
     EXPECT_GT(tBch8 / tSecded, 10.0);
@@ -193,6 +206,283 @@ TEST(DriftModel, ClosedFormMatchesMonteCarloSampling)
     const double empirical = failures / static_cast<double>(draws);
     const double analytic = model.levelErrorProb(level, t);
     EXPECT_NEAR(empirical, analytic, analytic * 0.15 + 2e-5);
+}
+
+// Bit-identity oracle: the tables evaluated the direct way, with
+// speedAtQuantile called inside the stratum loop at every grid age
+// and every probability evaluated from (t, speed). The model's
+// hoisted strata and log-ages must reproduce it bit for bit.
+
+constexpr double kLogAgeStep = 0.005;
+constexpr unsigned kTableSize = 2202; // 11 log-decades + 2 points
+
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+template <typename F>
+double
+referenceAverage(const DriftModel &model, double quantile, F f)
+{
+    if (model.config().driftSpeedSigmaLn == 0.0)
+        return f(1.0);
+    double sum = 0.0;
+    const auto addRange = [&](double lo, double hi, unsigned n) {
+        const double weight = (hi - lo) / quantile /
+            static_cast<double>(n);
+        for (unsigned i = 0; i < n; ++i) {
+            const double u = lo + (hi - lo) *
+                (static_cast<double>(i) + 0.5) / n;
+            sum += weight * f(model.speedAtQuantile(u));
+        }
+    };
+    addRange(0.0, 0.9 * quantile, 32);
+    double lo = 0.9;
+    for (double frac = 0.01; frac >= 1e-8; frac /= 10.0) {
+        const double hi = 1.0 - frac;
+        addRange(lo * quantile, hi * quantile, 8);
+        lo = hi;
+    }
+    addRange(lo * quantile, (1.0 - 1e-9) * quantile, 4);
+    return sum;
+}
+
+double
+referenceCellErrorProb(const DriftModel &model, double t, double quantile)
+{
+    return referenceAverage(model, quantile, [&](double speed) {
+        return model.cellErrorProbGivenSpeed(t, speed);
+    });
+}
+
+double
+referenceLevelErrorProb(const DriftModel &model, unsigned level, double t)
+{
+    if (!model.config().hasUpperThreshold(level))
+        return 0.0;
+    return referenceAverage(model, 1.0, [&](double speed) {
+        return model.levelErrorProbGivenSpeed(level, t, speed);
+    });
+}
+
+double
+referenceLevelMarginFlagProb(const DriftModel &model, unsigned level,
+                             double t)
+{
+    const DeviceConfig &c = model.config();
+    if (!c.hasUpperThreshold(level))
+        return 0.0;
+    const double u = t <= c.driftT0Seconds
+        ? 0.0 : std::log10(t / c.driftT0Seconds);
+    return referenceAverage(model, 1.0, [&](double speed) {
+        const double mu = c.driftMu[level] * speed;
+        const double sigmaNuU = c.driftSigma(level) * speed * u;
+        const double mean = c.levelMeanLogR[level] + mu * u;
+        const double sigma = std::sqrt(c.sigmaLogR * c.sigmaLogR +
+                                       sigmaNuU * sigmaNuU);
+        const double bandLow = c.readThresholdLogR[level] -
+            c.marginBandLogR;
+        return qfunc((bandLow - mean) / sigma) -
+            model.levelErrorProbGivenSpeed(level, t, speed);
+    });
+}
+
+double
+referenceCellMarginFlagProb(const DriftModel &model, double t)
+{
+    double sum = 0.0;
+    for (unsigned l = 0; l < mlcLevels; ++l)
+        sum += referenceLevelMarginFlagProb(model, l, t);
+    return sum / static_cast<double>(mlcLevels);
+}
+
+/** Reference table: eval at every grid age, read by interpolation. */
+class ReferenceTable
+{
+  public:
+    template <typename Eval>
+    ReferenceTable(const DeviceConfig &config, Eval eval)
+        : t0_(config.driftT0Seconds)
+    {
+        for (unsigned i = 0; i < kTableSize; ++i)
+            values_.push_back(eval(gridAge(i)));
+    }
+
+    double gridAge(unsigned i) const
+    {
+        return t0_ * std::pow(10.0, static_cast<double>(i) * kLogAgeStep);
+    }
+
+    double operator()(double t) const
+    {
+        const double u = t <= t0_ ? 0.0 : std::log10(t / t0_);
+        const double position = u / kLogAgeStep;
+        const auto index = static_cast<unsigned>(position);
+        if (index + 1 >= kTableSize)
+            return values_.back();
+        const double frac = position - static_cast<double>(index);
+        return values_[index] * (1.0 - frac) +
+            values_[index + 1] * frac;
+    }
+
+  private:
+    double t0_;
+    std::vector<double> values_;
+};
+
+/** Every grid age plus off-grid ages below, between and beyond. */
+std::vector<double>
+oracleAges(const ReferenceTable &table)
+{
+    std::vector<double> ages;
+    for (unsigned i = 0; i < kTableSize; ++i)
+        ages.push_back(table.gridAge(i));
+    for (double t = 0.01; t < 1e13; t *= 1.37)
+        ages.push_back(t);
+    return ages;
+}
+
+/** Every quantile the engine prewarms a bulk table for. */
+std::vector<double>
+engineQuantiles()
+{
+    std::vector<double> quantiles;
+    // AdaptiveScrub over a 296-cell BCH-8 line: errors 0..5.
+    for (unsigned e = 0; e <= 5; ++e)
+        quantiles.push_back(1.0 - static_cast<double>(e) / 296.0);
+    // AdaptiveScrub over a 288-cell SECDED line: errors 0..1.
+    quantiles.push_back(1.0 - 1.0 / 288.0);
+    // AnalyticBackend's bulk: 8 tracked weak cells of 288 (SECDED)
+    // and of 296 (BCH-8) cells.
+    quantiles.push_back(1.0 - 8.0 / 288.0);
+    quantiles.push_back(1.0 - 8.0 / 296.0);
+    return quantiles;
+}
+
+void
+expectTablesMatchReference(const DeviceConfig &config)
+{
+    const DriftModel model = prewarmed(config);
+    const ReferenceTable cellError(config, [&](double t) {
+        return referenceCellErrorProb(model, t, 1.0);
+    });
+    const ReferenceTable marginFlag(config, [&](double t) {
+        return referenceCellMarginFlagProb(model, t);
+    });
+    const std::vector<double> ages = oracleAges(cellError);
+    for (const double t : ages) {
+        EXPECT_EQ(bits(model.cellErrorProb(t)), bits(cellError(t)))
+            << "t=" << t;
+        EXPECT_EQ(bits(model.cellMarginFlagProb(t)), bits(marginFlag(t)))
+            << "t=" << t;
+    }
+    for (const double t : {0.5, 1.0, 60.0, 3600.0, 86400.0, 3.156e7}) {
+        for (unsigned l = 0; l < mlcLevels; ++l) {
+            EXPECT_EQ(bits(model.levelErrorProb(l, t)),
+                      bits(referenceLevelErrorProb(model, l, t)))
+                << "l=" << l << " t=" << t;
+            EXPECT_EQ(bits(model.levelMarginFlagProb(l, t)),
+                      bits(referenceLevelMarginFlagProb(model, l, t)))
+                << "l=" << l << " t=" << t;
+        }
+    }
+    for (const double quantile : engineQuantiles()) {
+        model.prewarmBulk(quantile);
+        const ReferenceTable bulk(config, [&](double t) {
+            return referenceCellErrorProb(model, t, quantile);
+        });
+        for (const double t : ages) {
+            EXPECT_EQ(bits(model.bulkCellErrorProb(t, quantile)),
+                      bits(bulk(t)))
+                << "q=" << quantile << " t=" << t;
+        }
+    }
+}
+
+TEST(DriftModelOracle, TablesBitIdenticalToPerStratumReference)
+{
+    expectTablesMatchReference(DeviceConfig{});
+}
+
+TEST(DriftModelOracle, TablesBitIdenticalWithoutSpeedSpread)
+{
+    DeviceConfig config;
+    config.driftSpeedSigmaLn = 0.0;
+    expectTablesMatchReference(config);
+}
+
+/** The conditional horizon's bisection, copied from the model. */
+template <typename Func>
+double
+referenceBisectAge(Func f, double target)
+{
+    constexpr double tLow = 1.0;
+    constexpr double tHigh = 1e11;
+    if (f(tHigh) < target)
+        return tHigh;
+    if (f(tLow) >= target)
+        return tLow;
+    double lo = std::log(tLow);
+    double hi = std::log(tHigh);
+    for (int iter = 0; iter < 200; ++iter) {
+        const double mid = 0.5 * (lo + hi);
+        if (f(std::exp(mid)) < target)
+            lo = mid;
+        else
+            hi = mid;
+        if (hi - lo < 1e-12)
+            break;
+    }
+    return std::exp(lo);
+}
+
+TEST(DriftModelOracle, ConditionalHorizonBitIdenticalToPlainBisection)
+{
+    const DriftModel model{DeviceConfig{}};
+    const unsigned cells = 296;
+    const unsigned eccT = 8;
+    for (unsigned errors = 0; errors <= 5; ++errors) {
+        const double quantile =
+            1.0 - static_cast<double>(errors) / cells;
+        model.prewarmBulk(quantile);
+        const unsigned healthy = cells - errors;
+        const unsigned budget = eccT - errors;
+        for (double age = 1.0; age <= 3.2e7; age *= 3.0) {
+            for (const double pUe : {1e-9, 1e-7, 1e-5}) {
+                const double p1 = model.bulkCellErrorProb(age, quantile);
+                const double horizon = referenceBisectAge(
+                    [&](double t) {
+                        const double p2 =
+                            model.bulkCellErrorProb(t, quantile);
+                        if (p2 <= p1)
+                            return 0.0;
+                        const double growth = (p2 - p1) / (1.0 - p1);
+                        return binomialTailAbove(healthy, growth, budget);
+                    },
+                    pUe);
+                const double want = horizon > age ? horizon - age : 0.0;
+                EXPECT_EQ(bits(model.timeToConditionalUncorrectable(
+                              cells, eccT, errors, age, pUe)),
+                          bits(want))
+                    << "errors=" << errors << " age=" << age
+                    << " p_ue=" << pUe;
+            }
+        }
+    }
+}
+
+TEST(DriftModelDeath, TableReadBeforePrewarmAsserts)
+{
+    const DriftModel model{DeviceConfig{}};
+    EXPECT_DEATH(model.cellErrorProb(3600.0), "prewarm");
+    EXPECT_DEATH(model.cellMarginFlagProb(3600.0), "prewarm");
+    model.prewarmBulk(0.99);
+    EXPECT_DEATH(model.bulkCellErrorProb(3600.0, 0.98), "prewarmBulk");
+    EXPECT_DEATH(model.timeToConditionalUncorrectable(296, 8, 2, 3600.0,
+                                                      1e-7),
+                 "prewarmBulk");
 }
 
 TEST(DriftModelDeath, InvalidConfigIsFatal)

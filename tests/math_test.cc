@@ -4,7 +4,11 @@
  * model and Monte-Carlo engine are built on.
  */
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -120,6 +124,83 @@ TEST(Log1mexp, AccurateNearZeroAndFar)
     EXPECT_NEAR(log1mexp(-1e-10), std::log(1e-10), 1e-6);
     EXPECT_NEAR(log1mexp(-50.0), -std::exp(-50.0), 1e-30);
     EXPECT_NEAR(std::exp(log1mexp(-0.5)), 1.0 - std::exp(-0.5), 1e-12);
+}
+
+/** The tail with its first term's log-choose evaluated inline. */
+double
+referenceTailAbove(unsigned n, double p, unsigned k)
+{
+    if (p <= 0.0)
+        return 0.0;
+    if (p >= 1.0)
+        return k < n ? 1.0 : 0.0;
+    if (k >= n)
+        return 0.0;
+    const unsigned first = k + 1;
+    const double logChoose = std::lgamma(n + 1.0) -
+        std::lgamma(first + 1.0) - std::lgamma(n - first + 1.0);
+    double term = std::exp(logChoose + first * std::log(p) +
+                           (n - first) * std::log1p(-p));
+    double sum = term;
+    const double odds = p / (1.0 - p);
+    for (unsigned j = k + 2; j <= n; ++j) {
+        term *= odds * static_cast<double>(n - j + 1) /
+            static_cast<double>(j);
+        sum += term;
+        if (term < sum * 1e-18)
+            break;
+    }
+    return sum > 1.0 ? 1.0 : sum;
+}
+
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+TEST(BinomialTail, HoistedLogChooseIsBitIdentical)
+{
+    std::vector<double> ps = {-1e-3, 0.0, 1.0, 1.5};
+    for (int i = 0; i <= 140; ++i)
+        ps.push_back(1e-15 * std::pow(10.0, i * 0.1)); // up to 1e-1
+    for (double p = 0.15; p <= 0.5; p += 0.05)
+        ps.push_back(p);
+    for (const unsigned n : {288u, 296u}) {
+        std::vector<unsigned> ks = {n - 1, n, n + 1};
+        for (unsigned k = 0; k <= 8; ++k)
+            ks.push_back(k);
+        for (const unsigned k : ks) {
+            const double logChooseNext = logChoose(n, k + 1);
+            for (const double p : ps) {
+                const double want = referenceTailAbove(n, p, k);
+                EXPECT_EQ(bits(binomialTailAbove(n, p, k)), bits(want))
+                    << "n=" << n << " k=" << k << " p=" << p;
+                EXPECT_EQ(bits(binomialTailAbove(n, p, k, logChooseNext)),
+                          bits(want))
+                    << "n=" << n << " k=" << k << " p=" << p;
+            }
+        }
+    }
+}
+
+TEST(BinomialPmf, HoistedLogChooseIsBitIdentical)
+{
+    for (const unsigned n : {288u, 296u}) {
+        for (unsigned k = 0; k <= 9; ++k) {
+            const double logC = std::lgamma(n + 1.0) -
+                std::lgamma(k + 1.0) - std::lgamma(n - k + 1.0);
+            EXPECT_EQ(bits(logChoose(n, k)), bits(logC));
+            for (const double p : {1e-12, 1e-6, 1e-3, 0.25}) {
+                const double want = std::exp(
+                    logC + k * std::log(p) + (n - k) * std::log1p(-p));
+                EXPECT_EQ(bits(binomialPmf(n, p, k)), bits(want))
+                    << "n=" << n << " k=" << k << " p=" << p;
+            }
+        }
+        EXPECT_EQ(logChoose(n, n + 1),
+                  -std::numeric_limits<double>::infinity());
+    }
 }
 
 TEST(BinomialTail, MonotonicInPAndK)
