@@ -1,6 +1,7 @@
 #include "common/logging.hh"
 
 #include <cstdarg>
+#include <cstdio>
 
 namespace pcmscrub {
 
@@ -12,9 +13,13 @@ void
 vprint(std::FILE *stream, const char *prefix, const char *fmt,
        std::va_list args)
 {
+    // One locked write per message: warnings from concurrent shard
+    // tasks must not interleave mid-line.
+    flockfile(stream);
     std::fputs(prefix, stream);
     std::vfprintf(stream, fmt, args);
     std::fputc('\n', stream);
+    funlockfile(stream);
 }
 
 } // namespace

@@ -211,9 +211,8 @@ FaultInjector::freezeCells(Line &line, unsigned count,
             const std::uint64_t dropped = count - injected;
             l.stats.droppedInjections += dropped;
             warn_once("fault campaign: dropping stuck-cell "
-                      "injections on a fully frozen line (%llu this "
-                      "time; see stats().droppedInjections)",
-                      static_cast<unsigned long long>(dropped));
+                      "injections on fully frozen lines (see "
+                      "stats().droppedInjections)");
             return;
         }
         const std::size_t pick = l.rng.uniformInt(healthy.size());

@@ -1,6 +1,7 @@
 #include "pcm/drift_model.hh"
 
 #include <cmath>
+#include <limits>
 
 #include "common/logging.hh"
 #include "common/math.hh"
@@ -86,13 +87,6 @@ DriftModel::levelErrorProbAtLogAge(unsigned level, double u,
     const double sigma = std::sqrt(config_.sigmaLogR * config_.sigmaLogR +
                                    sigmaNuU * sigmaNuU);
     return qfunc(margin / sigma);
-}
-
-double
-DriftModel::levelErrorProbGivenSpeed(unsigned level, double t_seconds,
-                                     double speed) const
-{
-    return levelErrorProbAtLogAge(level, logAge(t_seconds), speed);
 }
 
 double
@@ -204,27 +198,21 @@ DriftModel::expectedLineErrors(unsigned cells, double t_seconds) const
     return static_cast<double>(cells) * cellErrorProb(t_seconds);
 }
 
-namespace {
-
-/**
- * Bisect for the largest t with f(t) < target, where f is
- * non-decreasing in t. Search range [1 s, ~3000 years].
- */
-template <typename Func>
+template <typename Below>
 double
-bisectAge(Func f, double target)
+DriftModel::bisectAge(Below below)
 {
     constexpr double tLow = 1.0;
     constexpr double tHigh = 1e11;
-    if (f(tHigh) < target)
+    if (below(tHigh))
         return tHigh; // Never reaches the target within range.
-    if (f(tLow) >= target)
+    if (!below(tLow))
         return tLow; // Already too risky at the smallest age.
     double lo = std::log(tLow);
     double hi = std::log(tHigh);
     for (int iter = 0; iter < 200; ++iter) {
         const double mid = 0.5 * (lo + hi);
-        if (f(std::exp(mid)) < target)
+        if (below(std::exp(mid)))
             lo = mid;
         else
             hi = mid;
@@ -234,14 +222,11 @@ bisectAge(Func f, double target)
     return std::exp(lo);
 }
 
-} // namespace
-
 double
 DriftModel::timeToCellErrorProb(double p) const
 {
     PCMSCRUB_ASSERT(p > 0.0 && p < 1.0, "probability target %f", p);
-    return bisectAge(
-        [this](double t) { return cellErrorProb(t); }, p);
+    return bisectAge([this, p](double t) { return cellErrorProb(t) < p; });
 }
 
 double
@@ -250,11 +235,91 @@ DriftModel::timeToLineUncorrectable(unsigned cells, unsigned t_ecc,
 {
     PCMSCRUB_ASSERT(p_ue > 0.0 && p_ue < 1.0, "probability target %f",
                     p_ue);
-    return bisectAge(
-        [this, cells, t_ecc](double t) {
-            return lineUncorrectableProb(cells, t, t_ecc);
-        },
-        p_ue);
+    return bisectAge([this, cells, t_ecc, p_ue](double t) {
+        return lineUncorrectableProb(cells, t, t_ecc) < p_ue;
+    });
+}
+
+namespace {
+
+/**
+ * Quantile of the speed distribution below which a line's healthy
+ * cells lie once `current_errors` of its `cells` have failed.
+ *
+ * The cells that already failed are, with overwhelming probability,
+ * the fastest intrinsic drifters; the still-healthy population
+ * therefore follows the speed distribution truncated at the matching
+ * quantile. Without this conditioning the tail would be
+ * double-counted and horizons would collapse whenever a few chronic
+ * cells sit inside the ECC budget.
+ */
+double
+conditionalQuantile(unsigned cells, unsigned current_errors)
+{
+    return 1.0 -
+        static_cast<double>(current_errors) / static_cast<double>(cells);
+}
+
+/** Relative distance of a bracket edge from the tail's crossing. */
+constexpr double bracketMargin = 1e-9;
+
+/** Relative clearance of p_ue the tail must show at each edge. */
+constexpr double bracketTailSlack = 1e-10;
+
+/** Bisect the tail of (healthy, budget) for its p_ue crossing. */
+DriftModel::GrowthBracket
+findGrowthBracket(unsigned healthy, unsigned budget, double p_ue)
+{
+    const double logChooseNext = logChoose(healthy, budget + 1);
+    const auto tail = [=](double growth) {
+        return binomialTailAbove(healthy, growth, budget, logChooseNext);
+    };
+    // With no more healthy cells than the budget, no growth crosses.
+    constexpr double never = std::numeric_limits<double>::infinity();
+    if (tail(1.0) < p_ue)
+        return {never, never, logChooseNext};
+    // tail(lo) < p_ue <= tail(hi), bisected to adjacent doubles.
+    double lo = 0.0;
+    double hi = 1.0;
+    while (true) {
+        const double mid = lo + 0.5 * (hi - lo);
+        if (mid <= lo || mid >= hi)
+            break;
+        if (tail(mid) < p_ue)
+            lo = mid;
+        else
+            hi = mid;
+    }
+    const DriftModel::GrowthBracket bracket{
+        lo * (1.0 - bracketMargin), hi * (1.0 + bracketMargin),
+        logChooseNext};
+    PCMSCRUB_ASSERT(tail(bracket.below) < p_ue * (1.0 - bracketTailSlack),
+                    "growth bracket (%u, %u, %g) too tight below",
+                    healthy, budget, p_ue);
+    PCMSCRUB_ASSERT(tail(bracket.above) > p_ue * (1.0 + bracketTailSlack),
+                    "growth bracket (%u, %u, %g) too tight above",
+                    healthy, budget, p_ue);
+    return bracket;
+}
+
+} // namespace
+
+const DriftModel::GrowthBracket &
+DriftModel::growthBracket(unsigned cells, unsigned t_ecc,
+                          unsigned current_errors, double p_ue) const
+{
+    PCMSCRUB_ASSERT(current_errors <= t_ecc,
+                    "%u errors exceed the budget %u", current_errors,
+                    t_ecc);
+    const unsigned healthy = cells > current_errors
+        ? cells - current_errors : 0;
+    const auto found = growthBrackets_.find(
+        BracketKey{healthy, t_ecc - current_errors, p_ue});
+    PCMSCRUB_ASSERT(found != growthBrackets_.end(),
+                    "conditional horizon (%u errors, p_ue %g) read "
+                    "before prewarmConditional()",
+                    current_errors, p_ue);
+    return found->second;
 }
 
 double
@@ -271,27 +336,24 @@ DriftModel::timeToConditionalUncorrectable(unsigned cells,
     const unsigned healthy = cells > current_errors
         ? cells - current_errors : 0;
     const unsigned budget = t_ecc - current_errors;
-    // The cells that already failed are, with overwhelming
-    // probability, the fastest intrinsic drifters; the still-healthy
-    // population therefore follows the speed distribution truncated
-    // at the matching quantile. Without this conditioning the tail
-    // would be double-counted and horizons would collapse whenever a
-    // few chronic cells sit inside the ECC budget.
-    const double quantile = 1.0 -
-        static_cast<double>(current_errors) / static_cast<double>(cells);
-    const AgeTable &bulk = bulkTable(quantile);
+    const AgeTable &bulk =
+        bulkTable(conditionalQuantile(cells, current_errors));
+    const GrowthBracket &bracket =
+        growthBracket(cells, t_ecc, current_errors, p_ue);
     const double p1 = interpolate(bulk, age_now);
-    const double logChooseNext = logChoose(healthy, budget + 1);
     const double horizon = bisectAge(
-        [this, &bulk, healthy, budget, p1, logChooseNext](double t) {
+        [this, &bulk, &bracket, healthy, budget, p1, p_ue](double t) {
             const double p2 = interpolate(bulk, t);
             if (p2 <= p1)
-                return 0.0;
+                return true;
             const double growth = (p2 - p1) / (1.0 - p1);
+            if (growth <= bracket.below)
+                return true;
+            if (growth >= bracket.above)
+                return false;
             return binomialTailAbove(healthy, growth, budget,
-                                     logChooseNext);
-        },
-        p_ue);
+                                     bracket.logChooseNext) < p_ue;
+        });
     return horizon > age_now ? horizon - age_now : 0.0;
 }
 
@@ -299,11 +361,9 @@ double
 DriftModel::timeToExpectedErrors(unsigned cells, double k) const
 {
     PCMSCRUB_ASSERT(k > 0.0, "error target must be positive");
-    return bisectAge(
-        [this, cells](double t) {
-            return expectedLineErrors(cells, t);
-        },
-        k);
+    return bisectAge([this, cells, k](double t) {
+        return expectedLineErrors(cells, t) < k;
+    });
 }
 
 double
@@ -358,6 +418,26 @@ DriftModel::prewarmBulk(double quantile) const
     if (!table.empty())
         return;
     table = cellErrorTable(speedStrata(quantile));
+}
+
+void
+DriftModel::prewarmConditional(unsigned cells, unsigned t_ecc,
+                               unsigned current_errors,
+                               double p_ue) const
+{
+    PCMSCRUB_ASSERT(p_ue > 0.0 && p_ue < 1.0, "probability target %f",
+                    p_ue);
+    // Past the budget the search answers 0 without reading anything.
+    if (current_errors > t_ecc)
+        return;
+    prewarmBulk(conditionalQuantile(cells, current_errors));
+    const unsigned healthy = cells > current_errors
+        ? cells - current_errors : 0;
+    const unsigned budget = t_ecc - current_errors;
+    const BracketKey key{healthy, budget, p_ue};
+    if (growthBrackets_.count(key) == 0)
+        growthBrackets_.emplace(key,
+                                findGrowthBracket(healthy, budget, p_ue));
 }
 
 double

@@ -21,6 +21,7 @@
 
 #include <array>
 #include <map>
+#include <tuple>
 #include <vector>
 
 #include "pcm/device_config.hh"
@@ -38,17 +39,24 @@ class DriftModel
     const DeviceConfig &config() const { return config_; }
 
     /**
-     * Probability that a level-l cell with intrinsic drift-speed
-     * factor `speed`, programmed t_seconds ago, reads above its
-     * upper threshold. Zero for the top level (drift only raises
-     * resistance, and there is no level above).
+     * The log-age u = log10(t/t0) every probability here is a
+     * function of (0 before t0: drift has not begun).
      */
-    double levelErrorProbGivenSpeed(unsigned level, double t_seconds,
-                                    double speed) const;
+    double logAge(double t_seconds) const;
+
+    /**
+     * Probability that a level-l cell with intrinsic drift-speed
+     * factor `speed`, at log-age u = logAge(t), reads above its
+     * upper threshold. Zero for the top level (drift only raises
+     * resistance, and there is no level above). Callers that
+     * evaluate many cells at one age compute u once.
+     */
+    double levelErrorProbAtLogAge(unsigned level, double u,
+                                  double speed) const;
 
     /**
      * Population error probability of a level-l cell at age t:
-     * levelErrorProbGivenSpeed marginalised over the log-normal
+     * levelErrorProbAtLogAge marginalised over the log-normal
      * intrinsic-speed distribution.
      */
     double levelErrorProb(unsigned level, double t_seconds) const;
@@ -117,7 +125,9 @@ class DriftModel
      * exact for the monotone drift model. This is what lets the
      * adaptive scrub space checks from the *check* instant instead
      * of the write instant (drift decelerates in absolute time, so
-     * old-but-verified-clean lines earn long horizons).
+     * old-but-verified-clean lines earn long horizons). Asserts that
+     * prewarmConditional() ran for (cells, t_ecc, current_errors,
+     * p_ue) unless current_errors > t_ecc.
      *
      * @return additional seconds from now (0 if already over)
      */
@@ -163,10 +173,54 @@ class DriftModel
 
     /**
      * Build the bulk-population table for one quantile (idempotent).
-     * bulkCellErrorProb() and timeToConditionalUncorrectable() assert
-     * that their quantile was prewarmed.
+     * bulkCellErrorProb() asserts that its quantile was prewarmed.
      */
     void prewarmBulk(double quantile) const;
+
+    /**
+     * Build what timeToConditionalUncorrectable(cells, t_ecc,
+     * current_errors, age, p_ue) reads, for every age (idempotent,
+     * serial like the other prewarms): the bulk table of the
+     * still-healthy population's quantile, and the growth bracket of
+     * (healthy cells, error budget, p_ue).
+     *
+     * Each step of the conditional search compares the binomial tail
+     * of the crossing growth g against p_ue. The exact tail is
+     * strictly increasing in g, so one threshold g* decides every
+     * step. The bracket [below, above] straddles g* with a relative
+     * margin of 1e-9 on each side, found by bisecting the computed
+     * tail down to adjacent doubles; a growth outside it is decided
+     * without evaluating the tail, one inside it evaluates the tail
+     * exactly. The margin moves the tail by ~1e-9 relative, far
+     * beyond its ~1e-13 rounding error, so no decision can differ
+     * from evaluating the tail everywhere; building the bracket
+     * asserts that the tail at each edge clears p_ue by 1e-10
+     * relative.
+     */
+    void prewarmConditional(unsigned cells, unsigned t_ecc,
+                            unsigned current_errors, double p_ue) const;
+
+    /**
+     * The conditional search's decision data for one (healthy cells,
+     * error budget, p_ue); see prewarmConditional().
+     */
+    struct GrowthBracket
+    {
+        /** Growths at or below this keep the tail under p_ue. */
+        double below;
+        /** Growths at or above this put the tail at or over p_ue. */
+        double above;
+        /** logChoose(healthy, budget + 1), the tail's first term. */
+        double logChooseNext;
+    };
+
+    /**
+     * The bracket prewarmConditional() built for these arguments
+     * (asserts if it did not run; current_errors <= t_ecc).
+     */
+    const GrowthBracket &growthBracket(unsigned cells, unsigned t_ecc,
+                                       unsigned current_errors,
+                                       double p_ue) const;
 
   private:
     /**
@@ -201,11 +255,16 @@ class DriftModel
         }
     };
 
-    double logAge(double t_seconds) const;
-
-    /** levelErrorProbGivenSpeed at log-age u = logAge(t). */
-    double levelErrorProbAtLogAge(unsigned level, double u,
-                                  double speed) const;
+    /**
+     * Largest age t in [1 s, 1e11 s] at which below(t) still holds,
+     * for a predicate that holds up to some age and fails beyond it:
+     * bisection in log-age down to a 1e-12 bracket. Returns 1e11 if
+     * below(1e11) holds and 1 s if below(1 s) fails. Every timeTo*
+     * search is one call, with below(t) = "f(t) < target" for a
+     * non-decreasing f (or an exact shortcut of that comparison).
+     */
+    template <typename Below>
+    static double bisectAge(Below below);
 
     /** cellErrorProbGivenSpeed at log-age u. */
     double cellErrorProbAtLogAge(double u, double speed) const;
@@ -240,6 +299,10 @@ class DriftModel
     mutable AgeTable cellErrorTable_;
     mutable AgeTable marginFlagTable_;
     mutable std::map<long, AgeTable> bulkTables_;
+
+    /** Keyed by (healthy cells, error budget, p_ue). */
+    using BracketKey = std::tuple<unsigned, unsigned, double>;
+    mutable std::map<BracketKey, GrowthBracket> growthBrackets_;
 };
 
 } // namespace pcmscrub

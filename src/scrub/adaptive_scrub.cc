@@ -50,12 +50,12 @@ AdaptiveScrub::AdaptiveScrub(const AdaptiveParams &params,
     regionDue_.assign(regions, safeAgeTicks_);
     regionWorstErrors_.assign(regions, 0);
 
-    // Build the drift model's conditional-bulk tables now, from this
-    // serial context: wake() evaluates them from parallel shard
-    // tasks, which only *read* (a quantile missed here asserts).
-    // Every errors_left value lineHorizon can see is below the
-    // rewrite threshold (and the model early-outs past the ECC
-    // budget), so this covers all reachable quantiles.
+    // Build the drift model's conditional-horizon tables and growth
+    // brackets now, from this serial context: wake() evaluates them
+    // from parallel shard tasks, which only *read* (an errors_left
+    // missed here asserts). Every errors_left value lineHorizon can
+    // see is below the rewrite threshold (and the model early-outs
+    // past the ECC budget), so this covers all reachable ones.
     const unsigned cells = backend.cellsPerLine();
     const unsigned maxErrors = std::min<unsigned>(
         eccT_,
@@ -63,8 +63,8 @@ AdaptiveScrub::AdaptiveScrub(const AdaptiveParams &params,
             ? params_.procedure.rewriteThreshold - 1
             : 0);
     for (unsigned e = 0; e <= maxErrors; ++e) {
-        backend.drift().prewarmBulk(
-            1.0 - static_cast<double>(e) / static_cast<double>(cells));
+        backend.drift().prewarmConditional(cells, eccT_, e,
+                                           params_.targetLineUeProb);
     }
 }
 

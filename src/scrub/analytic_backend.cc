@@ -379,14 +379,15 @@ AnalyticBackend::growDrift(LineIndex line, Tick now)
         state.pSampled = p2;
     }
 
-    // Individually-tracked fast drifters.
+    // Individually-tracked fast drifters, all at one log-age.
+    const double u = drift_.logAge(age);
     const unsigned k = config_.weakCellsTracked;
     for (unsigned j = 0; j < k; ++j) {
         WeakCell &cell = weakCells_[line * k + j];
         if (cell.crossed)
             continue;
-        const double q2 = drift_.levelErrorProbGivenSpeed(
-            cell.level, age, static_cast<double>(cell.speed));
+        const double q2 = drift_.levelErrorProbAtLogAge(
+            cell.level, u, static_cast<double>(cell.speed));
         const double q1 = static_cast<double>(cell.qSampled);
         if (q2 <= q1)
             continue;
@@ -614,10 +615,9 @@ AnalyticBackend::escalate(LineIndex line, Tick now)
         ppr_.noteUncorrectable(line);
         if (ppr_.qualifies(line) && ppr_.remap(line)) {
             ++metrics.uePprRemapped;
-            warn_once("PPR-remapping line %llu to a spare row "
-                      "(%llu rows left)",
-                      static_cast<unsigned long long>(line),
-                      static_cast<unsigned long long>(ppr_.remaining()));
+            warn_once("PPR-remapping chronic lines to spare rows "
+                      "(%llu rows configured)",
+                      static_cast<unsigned long long>(deg.pprSpareRows));
             state.stuckCells = 0;
             state.stuckErrors = 0;
             state.writes = 0.0;
@@ -626,10 +626,9 @@ AnalyticBackend::escalate(LineIndex line, Tick now)
             return DegradationStage::PprRemap;
         }
         if (ppr_.exhausted()) {
-            warn_once("PPR spare rows exhausted after %llu remaps; "
+            warn_once("PPR spare rows exhausted (%llu configured); "
                       "chronic lines now fall through to retirement",
-                      static_cast<unsigned long long>(
-                          ppr_.remappedCount()));
+                      static_cast<unsigned long long>(deg.pprSpareRows));
         }
     }
 
@@ -638,9 +637,9 @@ AnalyticBackend::escalate(LineIndex line, Tick now)
     if (spares_.retire(line)) {
         ++metrics.ueRetired;
         metrics.capacityLostBits += lineBits();
-        warn_once("retiring line %llu to a spare (%llu spares left)",
-                  static_cast<unsigned long long>(line),
-                  static_cast<unsigned long long>(spares_.remaining()));
+        warn_once("retiring failing lines to spares "
+                  "(%llu spares configured)",
+                  static_cast<unsigned long long>(deg.spareLines));
         state.stuckCells = 0;
         state.stuckErrors = 0;
         state.writes = 0.0;
@@ -649,10 +648,9 @@ AnalyticBackend::escalate(LineIndex line, Tick now)
         return DegradationStage::Retire;
     }
     if (deg.spareLines > 0) {
-        warn_once("spare pool exhausted after %llu retirements; "
+        warn_once("spare pool exhausted (%llu spares configured); "
                   "failing lines now fall through to SLC/host",
-                  static_cast<unsigned long long>(
-                      spares_.retiredCount()));
+                  static_cast<unsigned long long>(deg.spareLines));
     }
 
     // Stage 5: drop the line to SLC — drift-immune, half density.
@@ -660,16 +658,14 @@ AnalyticBackend::escalate(LineIndex line, Tick now)
         state.slc = true;
         ++metrics.ueSlcFallbacks;
         metrics.capacityLostBits += lineBits();
-        warn_once("line %llu fell back to SLC operation "
-                  "(density halved)",
-                  static_cast<unsigned long long>(line));
+        warn_once("failing lines fall back to SLC operation "
+                  "(density halved)");
         refresh(/*new_data=*/true);
         if (state.stuckErrors <= t)
             return DegradationStage::SlcFallback;
     }
 
-    warn_once("uncorrectable error on line %llu surfaced to the host",
-              static_cast<unsigned long long>(line));
+    warn_once("uncorrectable errors surface to the host");
     return DegradationStage::HostVisible;
 }
 

@@ -360,19 +360,17 @@ CellBackend::escalate(LineIndex line, Tick now)
         ppr_.noteUncorrectable(line);
         if (ppr_.qualifies(line) && ppr_.remap(line)) {
             ++metrics.uePprRemapped;
-            warn_once("PPR-remapping line %llu to a spare row "
-                      "(%llu rows left)",
-                      static_cast<unsigned long long>(line),
-                      static_cast<unsigned long long>(ppr_.remaining()));
+            warn_once("PPR-remapping chronic lines to spare rows "
+                      "(%llu rows configured)",
+                      static_cast<unsigned long long>(deg.pprSpareRows));
             physical.initialize(array_.model(), rngFor(line));
             programLine(line, physical.intendedWord(), now);
             return DegradationStage::PprRemap;
         }
         if (ppr_.exhausted()) {
-            warn_once("PPR spare rows exhausted after %llu remaps; "
+            warn_once("PPR spare rows exhausted (%llu configured); "
                       "chronic lines now fall through to retirement",
-                      static_cast<unsigned long long>(
-                          ppr_.remappedCount()));
+                      static_cast<unsigned long long>(deg.pprSpareRows));
         }
     }
 
@@ -381,18 +379,17 @@ CellBackend::escalate(LineIndex line, Tick now)
     if (spares_.retire(line)) {
         ++metrics.ueRetired;
         metrics.capacityLostBits += physical.codewordBits();
-        warn_once("retiring line %llu to a spare (%llu spares left)",
-                  static_cast<unsigned long long>(line),
-                  static_cast<unsigned long long>(spares_.remaining()));
+        warn_once("retiring failing lines to spares "
+                  "(%llu spares configured)",
+                  static_cast<unsigned long long>(deg.spareLines));
         physical.initialize(array_.model(), rngFor(line));
         programLine(line, physical.intendedWord(), now);
         return DegradationStage::Retire;
     }
     if (deg.spareLines > 0) {
-        warn_once("spare pool exhausted after %llu retirements; "
+        warn_once("spare pool exhausted (%llu spares configured); "
                   "failing lines now fall through to SLC/host",
-                  static_cast<unsigned long long>(
-                      spares_.retiredCount()));
+                  static_cast<unsigned long long>(deg.spareLines));
     }
 
     // Stage 5: drop the line to SLC — extreme levels only, immune to
@@ -401,16 +398,14 @@ CellBackend::escalate(LineIndex line, Tick now)
         physical.setSlcMode(array_.model(), rngFor(line));
         ++metrics.ueSlcFallbacks;
         metrics.capacityLostBits += physical.codewordBits();
-        warn_once("line %llu fell back to SLC operation "
-                  "(density halved)",
-                  static_cast<unsigned long long>(line));
+        warn_once("failing lines fall back to SLC operation "
+                  "(density halved)");
         programLine(line, physical.intendedWord(), now);
         if (decodes(line, now))
             return DegradationStage::SlcFallback;
     }
 
-    warn_once("uncorrectable error on line %llu surfaced to the host",
-              static_cast<unsigned long long>(line));
+    warn_once("uncorrectable errors surface to the host");
     return DegradationStage::HostVisible;
 }
 

@@ -28,15 +28,17 @@ quiet(std::uint64_t lines, unsigned t = 8)
 }
 
 /**
- * A default model with the conditional-bulk tables of a 296-cell
- * line holding up to 8 errors built.
+ * A default model with the conditional horizons of a 296-cell BCH-8
+ * line holding up to 8 errors prewarmed for the targets used here.
  */
 DriftModel
 conditionalModel()
 {
     DriftModel model{DeviceConfig{}};
-    for (unsigned errors = 0; errors <= 8; ++errors)
-        model.prewarmBulk(1.0 - errors / 296.0);
+    for (unsigned errors = 0; errors <= 8; ++errors) {
+        for (const double pUe : {1e-9, 1e-7, 1e-5})
+            model.prewarmConditional(296, 8, errors, pUe);
+    }
     return model;
 }
 

@@ -263,7 +263,7 @@ referenceLevelErrorProb(const DriftModel &model, unsigned level, double t)
     if (!model.config().hasUpperThreshold(level))
         return 0.0;
     return referenceAverage(model, 1.0, [&](double speed) {
-        return model.levelErrorProbGivenSpeed(level, t, speed);
+        return model.levelErrorProbAtLogAge(level, model.logAge(t), speed);
     });
 }
 
@@ -285,7 +285,7 @@ referenceLevelMarginFlagProb(const DriftModel &model, unsigned level,
         const double bandLow = c.readThresholdLogR[level] -
             c.marginBandLogR;
         return qfunc((bandLow - mean) / sigma) -
-            model.levelErrorProbGivenSpeed(level, t, speed);
+            model.levelErrorProbAtLogAge(level, u, speed);
     });
 }
 
@@ -438,36 +438,101 @@ referenceBisectAge(Func f, double target)
     return std::exp(lo);
 }
 
+/** Line shapes the engine searches horizons for: (cells, ECC t). */
+struct LineShape
+{
+    unsigned cells;
+    unsigned eccT;
+};
+constexpr LineShape kBch8Line{296, 8};
+constexpr LineShape kSecdedLine{288, 1};
+constexpr double kOracleTargets[] = {1e-12, 1e-9, 1e-7, 1e-5, 1e-3};
+
+/**
+ * The gated conditional search against an ungated bisection that
+ * evaluates the binomial tail at every step, for every error count
+ * up to the budget, at ages on a x1.5 grid from 1 s to a year and
+ * ages that land exactly on table grid nodes.
+ */
 TEST(DriftModelOracle, ConditionalHorizonBitIdenticalToPlainBisection)
 {
+    const DeviceConfig config;
+    const DriftModel model{config};
+    std::vector<double> ages;
+    for (double age = 1.0; age <= 3.156e7; age *= 1.5)
+        ages.push_back(age);
+    for (unsigned i = 0; i < kTableSize; i += 97) {
+        ages.push_back(config.driftT0Seconds *
+                       std::pow(10.0, static_cast<double>(i) * kLogAgeStep));
+    }
+    for (const LineShape line : {kBch8Line, kSecdedLine}) {
+        for (unsigned errors = 0; errors <= line.eccT; ++errors) {
+            const double quantile =
+                1.0 - static_cast<double>(errors) / line.cells;
+            const unsigned healthy = line.cells - errors;
+            const unsigned budget = line.eccT - errors;
+            for (const double pUe : kOracleTargets) {
+                model.prewarmConditional(line.cells, line.eccT, errors,
+                                         pUe);
+                for (const double age : ages) {
+                    const double p1 =
+                        model.bulkCellErrorProb(age, quantile);
+                    const double horizon = referenceBisectAge(
+                        [&](double t) {
+                            const double p2 =
+                                model.bulkCellErrorProb(t, quantile);
+                            if (p2 <= p1)
+                                return 0.0;
+                            const double growth =
+                                (p2 - p1) / (1.0 - p1);
+                            return binomialTailAbove(healthy, growth,
+                                                     budget);
+                        },
+                        pUe);
+                    const double want =
+                        horizon > age ? horizon - age : 0.0;
+                    EXPECT_EQ(bits(model.timeToConditionalUncorrectable(
+                                  line.cells, line.eccT, errors, age,
+                                  pUe)),
+                              bits(want))
+                        << "cells=" << line.cells << " errors=" << errors
+                        << " age=" << age << " p_ue=" << pUe;
+                }
+            }
+        }
+    }
+}
+
+/**
+ * The bracket prewarmConditional() stores straddles the tail's
+ * crossing of p_ue, tightly: the model's own tail is below the target
+ * at the lower edge and at or above it at the upper one.
+ */
+TEST(DriftModelOracle, GrowthBracketStraddlesTheTailCrossing)
+{
     const DriftModel model{DeviceConfig{}};
-    const unsigned cells = 296;
-    const unsigned eccT = 8;
-    for (unsigned errors = 0; errors <= 5; ++errors) {
-        const double quantile =
-            1.0 - static_cast<double>(errors) / cells;
-        model.prewarmBulk(quantile);
-        const unsigned healthy = cells - errors;
-        const unsigned budget = eccT - errors;
-        for (double age = 1.0; age <= 3.2e7; age *= 3.0) {
-            for (const double pUe : {1e-9, 1e-7, 1e-5}) {
-                const double p1 = model.bulkCellErrorProb(age, quantile);
-                const double horizon = referenceBisectAge(
-                    [&](double t) {
-                        const double p2 =
-                            model.bulkCellErrorProb(t, quantile);
-                        if (p2 <= p1)
-                            return 0.0;
-                        const double growth = (p2 - p1) / (1.0 - p1);
-                        return binomialTailAbove(healthy, growth, budget);
-                    },
-                    pUe);
-                const double want = horizon > age ? horizon - age : 0.0;
-                EXPECT_EQ(bits(model.timeToConditionalUncorrectable(
-                              cells, eccT, errors, age, pUe)),
-                          bits(want))
-                    << "errors=" << errors << " age=" << age
-                    << " p_ue=" << pUe;
+    for (const LineShape line : {kBch8Line, kSecdedLine}) {
+        for (unsigned errors = 0; errors <= line.eccT; ++errors) {
+            const unsigned healthy = line.cells - errors;
+            const unsigned budget = line.eccT - errors;
+            for (const double pUe : kOracleTargets) {
+                model.prewarmConditional(line.cells, line.eccT, errors,
+                                         pUe);
+                const DriftModel::GrowthBracket &bracket =
+                    model.growthBracket(line.cells, line.eccT, errors,
+                                        pUe);
+                SCOPED_TRACE(::testing::Message()
+                             << "cells=" << line.cells
+                             << " errors=" << errors << " p_ue=" << pUe);
+                EXPECT_LT(binomialTailAbove(healthy, bracket.below,
+                                            budget),
+                          pUe);
+                EXPECT_GE(binomialTailAbove(healthy, bracket.above,
+                                            budget),
+                          pUe);
+                EXPECT_GT(bracket.below, 0.0);
+                EXPECT_LT((bracket.above - bracket.below) / bracket.below,
+                          1e-8);
             }
         }
     }
@@ -479,10 +544,27 @@ TEST(DriftModelDeath, TableReadBeforePrewarmAsserts)
     EXPECT_DEATH(model.cellErrorProb(3600.0), "prewarm");
     EXPECT_DEATH(model.cellMarginFlagProb(3600.0), "prewarm");
     model.prewarmBulk(0.99);
+    model.prewarmConditional(296, 8, 1, 1e-7);
     EXPECT_DEATH(model.bulkCellErrorProb(3600.0, 0.98), "prewarmBulk");
     EXPECT_DEATH(model.timeToConditionalUncorrectable(296, 8, 2, 3600.0,
                                                       1e-7),
                  "prewarmBulk");
+}
+
+TEST(DriftModelDeath, ConditionalHorizonBeforePrewarmConditionalAsserts)
+{
+    const DriftModel model{DeviceConfig{}};
+    model.prewarmConditional(296, 8, 2, 1e-7);
+    // Same line and errors, another target: the bulk table is there,
+    // the growth bracket is not.
+    EXPECT_DEATH(model.timeToConditionalUncorrectable(296, 8, 2, 3600.0,
+                                                      1e-9),
+                 "prewarmConditional");
+    // A bulk table alone does not make a conditional horizon readable.
+    model.prewarmBulk(1.0 - 3.0 / 296.0);
+    EXPECT_DEATH(model.timeToConditionalUncorrectable(296, 8, 3, 3600.0,
+                                                      1e-7),
+                 "prewarmConditional");
 }
 
 TEST(DriftModelDeath, InvalidConfigIsFatal)
