@@ -316,8 +316,8 @@ main(int argc, char **argv)
 
     std::printf("\nReading the table: at the relaxed fixed interval "
                 "the chronic-drifter tail dwarfs the repair budget — "
-                "PPR and the spare pool exhaust on day one and the "
-                "SLO is gone. The tight fixed interval holds the SLO "
+                "PPR rows and spares run dry shard by shard within "
+                "days and the SLO is gone. The tight fixed interval holds the SLO "
                 "but pays the full sweep cost all month. The closed "
                 "loop starts tight and probes longer intervals "
                 "whenever telemetry stays calm, letting the PPR rung "

@@ -63,6 +63,17 @@ class ShardPlan
         return static_cast<std::size_t>(line / linesPerShard_);
     }
 
+    /**
+     * Entries one shard gets of a `budget` split evenly over the
+     * shards: budget / count(), plus one for each of the first
+     * budget % count() shards. A function of the budget and the
+     * geometry alone, like the plan itself.
+     */
+    std::uint64_t share(std::uint64_t budget, std::size_t shard) const
+    {
+        return budget / count_ + (shard < budget % count_ ? 1 : 0);
+    }
+
   private:
     std::uint64_t lines_ = 0;
     std::size_t count_ = 1;

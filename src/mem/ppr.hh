@@ -12,20 +12,21 @@
  * offenders consume the scarce spare rows (HARP-style profiling of
  * at-risk lines), not lines felled by a one-off transient event.
  *
- * Thread-safe like SparePool: the table is shared across shards of
- * the parallel engine, so every mutation and query is internally
- * locked. When concurrent shards race for the *last* spare row the
- * winner depends on scheduling; determinism suites provision enough
- * rows not to exhaust (or run serially).
+ * Partitioned like SparePool: shard `s` of the owning backend's
+ * ShardPlan owns ShardPlan::share(spare_rows, s) rows and the UE
+ * history of its own lines, and only that shard's task touches them
+ * during a parallel phase. The table therefore needs no lock, and
+ * which lines get a row does not depend on the thread count.
  */
 
 #ifndef PCMSCRUB_MEM_PPR_HH
 #define PCMSCRUB_MEM_PPR_HH
 
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
+#include <vector>
 
+#include "common/shard.hh"
 #include "common/types.hh"
 
 namespace pcmscrub {
@@ -40,20 +41,32 @@ class PprRemapTable
 {
   public:
     /**
-     * @param spare_rows rows provisioned for repair
+     * @param spare_rows rows provisioned for repair, over all shards
+     * @param plan the owning backend's shard plan
      * @param ue_threshold UE escalations before a line qualifies
      */
-    explicit PprRemapTable(std::uint64_t spare_rows = 0,
-                           unsigned ue_threshold = 2);
+    PprRemapTable(std::uint64_t spare_rows, const ShardPlan &plan,
+                  unsigned ue_threshold = 2);
 
+    /** Rows provisioned over all partitions. */
     std::uint64_t capacity() const { return capacity_; }
     unsigned ueThreshold() const { return ueThreshold_; }
 
+    /** Rows left over all partitions. */
     std::uint64_t remaining() const;
+
+    /** Whether every partition has run dry. */
     bool exhausted() const;
 
-    /** Spare rows consumed so far (== lines remapped). */
+    /** Spare rows consumed so far over all partitions (== lines
+     *  remapped). */
     std::uint64_t remappedCount() const;
+
+    /** Rows provisioned in `line`'s shard partition. */
+    std::uint64_t partitionCapacity(LineIndex line) const;
+
+    /** Whether `line`'s shard partition has no row left. */
+    bool partitionExhausted(LineIndex line) const;
 
     /**
      * Record one UE escalation on `line` (the chronic tracker).
@@ -66,13 +79,16 @@ class PprRemapTable
     std::uint32_t ueHistory(LineIndex line) const;
 
     /** Whether a line qualifies for repair right now: chronic
-     *  (history >= threshold), not yet remapped, spares left. */
+     *  (history >= threshold), not yet remapped, rows left in its
+     *  shard partition. */
     bool qualifies(LineIndex line) const;
 
     /**
-     * Consume one spare row for `line`. Fails (returns false) when
-     * the table is exhausted or the line is already remapped — PPR
-     * is permanent, there is no second fuse for the same address.
+     * Consume one spare row of `line`'s shard partition for `line`.
+     * Fails (returns false) when the partition is exhausted or the
+     * line is already remapped — PPR is permanent, there is no
+     * second fuse for the same address. Only the task running that
+     * shard may call this in a parallel phase.
      */
     bool remap(LineIndex line);
 
@@ -80,14 +96,14 @@ class PprRemapTable
     bool isRemapped(LineIndex line) const;
 
     /**
-     * Serialize capacity, usage, and the per-line history/remap map
-     * (sorted by line index so identical tables always produce
-     * identical bytes).
+     * Serialize capacity, then each partition's usage and per-line
+     * history/remap map (sorted by line index so identical tables
+     * always produce identical bytes).
      */
     void saveState(SnapshotSink &sink) const;
 
-    /** Restore state written by saveState(); capacity and threshold
-     *  must match the construction parameters. */
+    /** Restore state written by saveState(); capacity, threshold and
+     *  shard plan must match the construction parameters. */
     void loadState(SnapshotSource &source);
 
   private:
@@ -98,11 +114,28 @@ class PprRemapTable
         bool remapped = false;
     };
 
+    /** One shard's rows and tracker entries. */
+    struct Partition
+    {
+        std::uint64_t capacity = 0;
+        std::uint64_t used = 0;
+        std::unordered_map<LineIndex, Entry> entries;
+    };
+
+    const Partition &partitionOf(LineIndex line) const
+    {
+        return parts_[plan_.shardOf(line)];
+    }
+
+    Partition &partitionOf(LineIndex line)
+    {
+        return parts_[plan_.shardOf(line)];
+    }
+
     std::uint64_t capacity_;
     unsigned ueThreshold_;
-    mutable std::mutex mutex_;
-    std::uint64_t used_ = 0;
-    std::unordered_map<LineIndex, Entry> entries_;
+    ShardPlan plan_;
+    std::vector<Partition> parts_;
 };
 
 } // namespace pcmscrub

@@ -97,8 +97,12 @@ RasControlPlane::requestPprRemap(LineIndex line, Tick now)
               static_cast<unsigned long long>(line));
     }
     if (!ppr->remap(line)) {
-        fatal("ras: PPR spare rows exhausted (%llu of %llu used)",
-              static_cast<unsigned long long>(ppr->remappedCount()),
+        fatal("ras: PPR spare rows exhausted in the shard partition "
+              "of line %llu (it holds %llu of the %llu rows "
+              "configured)",
+              static_cast<unsigned long long>(line),
+              static_cast<unsigned long long>(
+                  ppr->partitionCapacity(line)),
               static_cast<unsigned long long>(ppr->capacity()));
     }
     // The fuse swapped in fresh silicon; reload the line's data so

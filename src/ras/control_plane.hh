@@ -73,7 +73,8 @@ class RasControlPlane
      * without waiting for the chronic tracker, and reload its data.
      * fatal() on an out-of-range line, a backend without provisioned
      * PPR rows, a line already remapped or retired, or an exhausted
-     * table.
+     * partition: the line's shard has no row left (see
+     * PprRemapTable), even if other shards still have some.
      */
     void requestPprRemap(LineIndex line, Tick now);
 

@@ -35,11 +35,12 @@ CellBackend::CellBackend(const CellBackendConfig &config)
       wear_(config.device),
       spares_(config.degradation.enabled
                   ? config.degradation.spareLines
-                  : 0),
+                  : 0,
+              plan_),
       ppr_(config.degradation.enabled
                ? config.degradation.pprSpareRows
                : 0,
-           config.degradation.pprUeThreshold)
+           plan_, config.degradation.pprUeThreshold)
 {
     shards_.resize(plan_.count());
     for (std::size_t shard = 0; shard < plan_.count(); ++shard)
@@ -352,7 +353,8 @@ CellBackend::escalate(LineIndex line, Tick now)
     }
 
     // Stage 3: post-package repair — permanently fuse a chronically
-    // failing address over to a dedicated spare row. The fuse is
+    // failing address over to a spare row of its shard's partition
+    // (rows are provisioned per shard, as per bank). The fuse is
     // one-shot per address and the rows are scarce, so only lines
     // with a repeat-offender UE history qualify; a line felled by a
     // one-off event falls through without burning a row.
@@ -367,15 +369,20 @@ CellBackend::escalate(LineIndex line, Tick now)
             programLine(line, physical.intendedWord(), now);
             return DegradationStage::PprRemap;
         }
-        if (ppr_.exhausted()) {
-            warn_once("PPR spare rows exhausted (%llu configured); "
-                      "chronic lines now fall through to retirement",
-                      static_cast<unsigned long long>(deg.pprSpareRows));
+        if (ppr_.partitionExhausted(line)) {
+            warn_once("PPR spare rows exhausted in one shard's "
+                      "partition (%llu configured, at most %llu per "
+                      "shard); chronic lines in that shard now fall "
+                      "through to retirement",
+                      static_cast<unsigned long long>(deg.pprSpareRows),
+                      static_cast<unsigned long long>(
+                          plan_.share(deg.pprSpareRows, 0)));
         }
     }
 
-    // Stage 4: retire the line into the spare-remap pool. Modelled
-    // as the address now resolving to fresh spare silicon.
+    // Stage 4: retire the line into its shard's partition of the
+    // spare-remap pool. Modelled as the address now resolving to
+    // fresh spare silicon.
     if (spares_.retire(line)) {
         ++metrics.ueRetired;
         metrics.capacityLostBits += physical.codewordBits();
@@ -387,9 +394,13 @@ CellBackend::escalate(LineIndex line, Tick now)
         return DegradationStage::Retire;
     }
     if (deg.spareLines > 0) {
-        warn_once("spare pool exhausted (%llu spares configured); "
-                  "failing lines now fall through to SLC/host",
-                  static_cast<unsigned long long>(deg.spareLines));
+        warn_once("spare pool exhausted in one shard's partition "
+                  "(%llu spares configured, at most %llu per shard); "
+                  "failing lines in that shard now fall through to "
+                  "SLC/host",
+                  static_cast<unsigned long long>(deg.spareLines),
+                  static_cast<unsigned long long>(
+                      plan_.share(deg.spareLines, 0)));
     }
 
     // Stage 5: drop the line to SLC — extreme levels only, immune to

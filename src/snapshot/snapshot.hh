@@ -6,7 +6,7 @@
  *
  *     offset  size  field
  *     0       8     magic "PCMSCRB1"
- *     8       4     format version (currently 1)
+ *     8       4     format version (snapshotFormatVersion)
  *     12      8     total container length in bytes
  *     20      8     device-config fingerprint (FNV-1a)
  *     28      4     section count (1..64)
@@ -66,8 +66,14 @@ namespace pcmscrub {
  *    that found no healthy cell). v3 snapshots hold five counters
  *    per lane and are rejected loudly; there is no in-place
  *    migration.
+ *  - v5: per-shard repair resources — the spare pool and the PPR
+ *    remap table serialize one partition per shard of the backend's
+ *    ShardPlan (capacity, usage, and that shard's line map) after
+ *    the total capacity and the partition count. v4 snapshots hold
+ *    one process-wide map each and are rejected loudly; there is no
+ *    in-place migration.
  */
-constexpr std::uint32_t snapshotFormatVersion = 4;
+constexpr std::uint32_t snapshotFormatVersion = 5;
 
 /**
  * Builder for one snapshot container.

@@ -570,11 +570,10 @@ struct RasSim
         config.degradation.enabled = true;
         config.degradation.maxRetries = 0;
         config.degradation.ecpRepair = false;
-        // Provision row/spare budgets the run cannot exhaust: which
-        // line wins the *last* row of a contended pool is scheduling-
-        // dependent (see PprRemapTable), and this test asserts
-        // bit-identity across thread counts. Exhaustion fall-through
-        // is covered serially in ppr_ladder_test.
+        // One row and one spare per line (8 per shard). Each line
+        // draws on its own shard's partition (see PprRemapTable), so
+        // the resumed run is bit-identical at any thread count.
+        // Exhaustion fall-through is covered in ppr_ladder_test.
         config.degradation.pprSpareRows = 512;
         config.degradation.pprUeThreshold = 1;
         config.degradation.spareLines = 512;
@@ -704,8 +703,8 @@ TEST_F(RasResume, ControlledKillAndResumeIsBitIdentical)
     // the controller moved the interval and the PPR rung fired.
     EXPECT_NE(straight.intervalS, 3600.0);
     EXPECT_GT(straight.pprRemapped, 0u);
-    // ... without ever contending for the last row/spare, which is
-    // the one scheduling-dependent allocation (see PprRemapTable).
+    // ... and leaves rows and spares over, so a resume that lost
+    // the partitions' usage would show as a remaining-count diff.
     EXPECT_GT(straight.metrics.pprSparesRemaining, 0u);
     EXPECT_GT(straight.metrics.sparesRemaining, 0u);
 
@@ -736,11 +735,10 @@ struct RasCellSim
         config.seed = seed;
         config.degradation.enabled = true;
         config.degradation.maxRetries = 0;
-        // PPR remap is one-shot per address, so one row per line
-        // caps demand at capacity and no line can lose a scheduling
-        // race for the last row. Retirement can repeat per address
-        // (~450 over this horizon), so the spare pool gets a >2x
-        // margin instead (same rationale as RasSim above).
+        // One row per line (two per shard of 2 lines), and a spare
+        // pool with a >2x margin over the ~450 retirements of this
+        // horizon (retirement can repeat per address). Each line
+        // draws on its own shard's partition, as in RasSim above.
         config.degradation.pprSpareRows = 96;
         config.degradation.pprUeThreshold = 1;
         config.degradation.spareLines = 1024;
@@ -792,9 +790,8 @@ TEST_F(RasResume, CellControlledKillAndResumeIsBitIdentical)
     const double straightInterval =
         straightSim.policy->controlPlane().scrubIntervalS();
     EXPECT_GT(straight.uePprRemapped, 0u);
-    // Retirement is not one-shot (a retired line can fail and retire
-    // again), so the pool must out-provision total demand — the last
-    // contended spare is the one scheduling-dependent allocation.
+    // Spares are left over, so a resume that lost the partitions'
+    // usage would show as a remaining-count diff.
     EXPECT_GT(straight.sparesRemaining, 0u);
 
     const std::uint64_t killAt = killPoint(29, totalWakes);

@@ -2,8 +2,8 @@
  * @file
  * Golden-checkpoint regression tests: the cell backend's checkpoint
  * byte stream after a fixed degradation-heavy campaign is compared
- * against a fixture captured when the v2 container (RAS control
- * plane: PPR remap table + runtime-tunable sweep interval) landed.
+ * against a fixture captured when the v5 container (per-shard
+ * partitions of the spare pool and the PPR remap table) landed.
  * This proves the refactor (and any later storage change) is
  * byte-compatible — same snapshot layout, same RNG draw order, same
  * floating-point results — not merely "passes its own round-trip".
@@ -12,7 +12,7 @@
  *
  *   PCMSCRUB_REGEN_GOLDEN=1 ./golden_checkpoint_test
  *
- * which rewrites tests/data/golden_checkpoint_v4.bin in the source
+ * which rewrites tests/data/golden_checkpoint_v5.bin in the source
  * tree; commit the new fixture together with the format change.
  */
 
@@ -35,7 +35,7 @@ namespace pcmscrub {
 namespace {
 
 const char *const kFixturePath =
-    PCMSCRUB_GOLDEN_DIR "/golden_checkpoint_v4.bin";
+    PCMSCRUB_GOLDEN_DIR "/golden_checkpoint_v5.bin";
 
 /**
  * The fixture campaign: every serialized feature is exercised —

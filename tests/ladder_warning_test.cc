@@ -139,9 +139,11 @@ expectWholeLadder(const std::vector<std::string> &lines)
 {
     for (const char *rung :
          {"PPR-remapping chronic lines to spare rows (4 rows configured)",
-          "PPR spare rows exhausted (4 configured)",
+          "PPR spare rows exhausted in one shard's partition "
+          "(4 configured, at most 1 per shard)",
           "retiring failing lines to spares (8 spares configured)",
-          "spare pool exhausted (8 spares configured)",
+          "spare pool exhausted in one shard's partition "
+          "(8 spares configured, at most 1 per shard)",
           "failing lines fall back to SLC operation",
           "uncorrectable errors surface to the host"}) {
         EXPECT_TRUE(std::any_of(lines.begin(), lines.end(),

@@ -151,15 +151,16 @@ runCellPipeline(std::uint64_t seed, unsigned threads,
     config.seed = seed;
     config.degradation.enabled = true;
     config.degradation.maxRetries = 2;
-    // Ample spares: the pool never runs dry, so retirement outcomes
-    // cannot depend on cross-shard arrival order at the last spare.
+    // One spare per shard (64 shards of 3 lines each).
     config.degradation.spareLines = 64;
     config.degradation.slcFallback = true;
     if (heavy_faults) {
-        // A saturating campaign retires lines wholesale; keep the
-        // spare pool inexhaustible so the only thing under test is
-        // the batched fault sampling, not the (documented)
-        // arrival-order sensitivity at the last spare.
+        // A saturating campaign retires lines wholesale and drains
+        // the pool even at two spares per line (a line may retire
+        // again and again). The pool is split into one partition per
+        // shard, and a line retires only into its own shard's
+        // partition, so which lines win the last spares is fixed by
+        // the configuration, not by thread arrival order.
         config.degradation.spareLines = 2 * config.lines;
     }
     CellBackend device(config);
@@ -257,6 +258,9 @@ TEST_F(ParallelDeterminismCell, HeavyFaultBatchingBitIdentical)
     // A campaign this hot must actually saturate lines; otherwise the
     // drop-accounting comparison below is vacuous.
     EXPECT_GT(serial.faults.droppedInjections, 0u);
+    // ... and must run the spare pool dry, so the comparison covers
+    // exhausted partitions too.
+    EXPECT_EQ(serial.metrics.sparesRemaining, 0u);
     for (const unsigned threads : {2u, 4u, 8u}) {
         SCOPED_TRACE("threads " + std::to_string(threads));
         expectCellOutcomeEqual(

@@ -262,11 +262,11 @@ runParallelLadder(unsigned threads)
     config.degradation.enabled = true;
     config.degradation.maxRetries = 0;
     config.degradation.ecpRepair = false;
-    // Budgets the 14-day run cannot exhaust: which line wins the
-    // last row of a contended pool is scheduling-dependent (see
-    // PprRemapTable), so an exhausting campaign cannot assert
-    // thread-count determinism. Exhaustion fall-through is covered
-    // by the serial escalation-order tests above.
+    // One row and one spare per line (8 per shard). A line takes
+    // rows and spares only from its own shard's partition (see
+    // PprRemapTable), so the outcome does not depend on the thread
+    // count whether or not a partition runs dry. Exhaustion
+    // fall-through is covered by the escalation-order tests above.
     config.degradation.pprSpareRows = 512;
     config.degradation.pprUeThreshold = 1;
     config.degradation.spareLines = 512;
@@ -290,9 +290,8 @@ TEST(PprLadder, ParallelDeterminismWithPprRung)
     const ScrubMetrics serial = runParallelLadder(1);
     const ScrubMetrics parallel = runParallelLadder(4);
 
-    // The campaign must actually exercise the rung being tested —
-    // without contending for the last row/spare, which is the one
-    // scheduling-dependent allocation (see PprRemapTable).
+    // The campaign must actually exercise the rung being tested,
+    // and leave rows and spares over in some partitions.
     EXPECT_GT(serial.uePprRemapped, 0u);
     EXPECT_GT(serial.pprSparesRemaining, 0u);
     EXPECT_GT(serial.sparesRemaining, 0u);

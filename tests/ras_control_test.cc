@@ -171,7 +171,8 @@ TEST(RasControlPlaneDeathTest, PprRemapRejectsBadRequests)
                 ::testing::ExitedWithCode(1),
                 "one-shot per address");
 
-    // The single spare row is now gone.
+    // The single spare row sat in shard 0's partition and is now
+    // gone; line 1's shard has none of its own.
     EXPECT_EXIT(plane.requestPprRemap(1, kHour),
                 ::testing::ExitedWithCode(1),
                 "PPR spare rows exhausted");
@@ -192,7 +193,9 @@ TEST(RasControlPlaneDeathTest, PprRemapRejectsRetiredLine)
 {
     // One UE with ppr_ue_threshold = 2 is not chronic, so the ladder
     // retires the line instead of burning a spare row on it; the
-    // operator must not then be able to fuse the dead address.
+    // operator must not then be able to fuse the dead address. The
+    // two spares sit in the partitions of shards 0 and 1 (one line
+    // per shard here), so the test line is line 1.
     AnalyticConfig config = pprConfig(4);
     config.degradation.maxRetries = 0;
     config.degradation.ecpRepair = false;
@@ -204,13 +207,13 @@ TEST(RasControlPlaneDeathTest, PprRemapRejectsRetiredLine)
     campaign.seed = 7;
     FaultInjector injector(campaign);
     backend.setFaultInjector(&injector);
-    const FullDecodeOutcome outcome = backend.fullDecode(5, kHour);
+    const FullDecodeOutcome outcome = backend.fullDecode(1, kHour);
     ASSERT_EQ(outcome.handledBy, DegradationStage::Retire);
     backend.setFaultInjector(nullptr);
 
     StrongEccScrub policy(secondsToTicks(3600.0));
     RasControlPlane plane(backend, policy, testSettings());
-    EXPECT_EXIT(plane.requestPprRemap(5, kHour),
+    EXPECT_EXIT(plane.requestPprRemap(1, kHour),
                 ::testing::ExitedWithCode(1),
                 "retired addresses cannot be PPR-remapped");
 }

@@ -78,5 +78,26 @@ TEST(ShardPlan, PlanIsGeometryOnly)
     }
 }
 
+TEST(ShardPlan, ShareSplitsABudgetEvenly)
+{
+    // Per-shard repair budgets: the shares sum to the budget, differ
+    // by at most one, and the first budget % count shards get the
+    // larger share.
+    const ShardPlan plan(1000, 64);
+    ASSERT_EQ(plan.count(), 63u); // 16 lines per shard.
+    for (const std::uint64_t budget : {0ull, 1ull, 62ull, 63ull, 64ull,
+                                       200ull, 1000ull}) {
+        std::uint64_t total = 0;
+        for (std::size_t shard = 0; shard < plan.count(); ++shard) {
+            const std::uint64_t share = plan.share(budget, shard);
+            EXPECT_EQ(share, budget / plan.count() +
+                                 (shard < budget % plan.count() ? 1 : 0))
+                << "budget " << budget << ", shard " << shard;
+            total += share;
+        }
+        EXPECT_EQ(total, budget);
+    }
+}
+
 } // namespace
 } // namespace pcmscrub

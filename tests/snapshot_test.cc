@@ -296,7 +296,7 @@ TEST(CheckpointDeathTest, VersionMismatchDies)
     EXPECT_EXIT((void)restoreSampleCheckpoint(path),
                 ::testing::ExitedWithCode(1),
                 "unsupported format version 1 \\(this build reads "
-                "version 4\\)");
+                "version 5\\)");
     std::remove(path.c_str());
 }
 
@@ -314,7 +314,25 @@ TEST(CheckpointDeathTest, V2SnapshotRejected)
     EXPECT_EXIT((void)restoreSampleCheckpoint(path),
                 ::testing::ExitedWithCode(1),
                 "unsupported format version 2 \\(this build reads "
-                "version 4\\)");
+                "version 5\\)");
+    std::remove(path.c_str());
+}
+
+TEST(CheckpointDeathTest, V4SnapshotRejected)
+{
+    const std::string path = tempPath("version4.snap");
+    writeSampleCheckpoint(path);
+    std::vector<std::uint8_t> bytes = readAll(path);
+    ASSERT_GT(bytes.size(), 12u);
+    // v4 snapshots hold one process-wide spare-pool and PPR map each;
+    // they must be rejected up front, never mis-parsed into the
+    // per-shard partitions of v5.
+    bytes[8] = 4; // Format version field, little-endian low byte.
+    writeAll(path, bytes);
+    EXPECT_EXIT((void)restoreSampleCheckpoint(path),
+                ::testing::ExitedWithCode(1),
+                "unsupported format version 4 \\(this build reads "
+                "version 5\\)");
     std::remove(path.c_str());
 }
 
