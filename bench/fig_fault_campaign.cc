@@ -16,6 +16,7 @@
 #include <cstdio>
 
 #include "bench_util.hh"
+#include "common/shard.hh"
 #include "snapshot/checkpoint.hh"
 #include "faults/fault_injector.hh"
 #include "scrub/policy.hh"
@@ -52,8 +53,8 @@ struct CampaignResult
     FaultInjectorStats faults;
 };
 
-CampaignResult
-runCampaign(double intensity, bool ladder, std::uint64_t seed)
+AnalyticConfig
+deviceConfig(bool ladder, std::uint64_t seed)
 {
     AnalyticConfig config = standardConfig(EccScheme::secdedX8(),
                                            kLines, seed);
@@ -62,7 +63,13 @@ runCampaign(double intensity, bool ladder, std::uint64_t seed)
     config.degradation.maxRetries = 2;
     config.degradation.spareLines = kSpares;
     config.degradation.slcFallback = true;
-    AnalyticBackend backend(config);
+    return config;
+}
+
+CampaignResult
+runCampaign(double intensity, bool ladder, std::uint64_t seed)
+{
+    AnalyticBackend backend(deviceConfig(ladder, seed));
 
     FaultInjector injector(campaignAt(intensity, seed));
     if (injector.enabled())
@@ -83,10 +90,15 @@ main(int argc, char **argv)
 {
     const BenchOptions opt = parseBenchOptions(argc, argv, 7);
 
+    // Spares are provisioned per shard, so with fewer spares than
+    // shards the high shards own none.
+    const ShardPlan plan(kLines, deviceConfig(true, opt.seed).shards);
     std::printf("fault-campaign survival (10 days, %llu lines, "
-                "hourly strong-ECC scrub, %llu spare lines)\n",
+                "hourly strong-ECC scrub, %llu spare lines over %zu "
+                "shards, at most %llu per shard)\n",
                 static_cast<unsigned long long>(kLines),
-                static_cast<unsigned long long>(kSpares));
+                static_cast<unsigned long long>(kSpares), plan.count(),
+                static_cast<unsigned long long>(plan.share(kSpares, 0)));
 
     const double intensities[] = {0.0, 0.5, 1.0, 2.0, 4.0};
 

@@ -41,7 +41,7 @@ report(const char *act, const CellBackend &device)
     std::printf("  spares left %llu/%llu | capacity lost %llu bits\n\n",
                 static_cast<unsigned long long>(m.sparesRemaining),
                 static_cast<unsigned long long>(
-                    device.sparePool().capacity()),
+                    device.spares()->capacity()),
                 static_cast<unsigned long long>(m.capacityLostBits));
 }
 

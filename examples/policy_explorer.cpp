@@ -237,7 +237,7 @@ main(int argc, char **argv)
                     controlled->controlPlane().scrubIntervalS(),
                     run.ras.minIntervalS, run.ras.maxIntervalS,
                     static_cast<unsigned long long>(
-                        device.pprTable().remaining()));
+                        device.ppr()->remaining()));
     }
     return 0;
 }

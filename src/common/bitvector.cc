@@ -41,20 +41,6 @@ BitVector::flip(std::size_t index)
 }
 
 void
-BitVector::flipRange(std::size_t lo, std::size_t n)
-{
-    PCMSCRUB_ASSERT(n >= 1 && n <= 64, "flip width %zu invalid", n);
-    PCMSCRUB_ASSERT(lo + n <= bits_, "flip [%zu,+%zu) out of %zu",
-                    lo, n, bits_);
-    const std::uint64_t mask = n == 64 ? ~0ULL : (1ULL << n) - 1;
-    const std::size_t word = lo / 64;
-    const std::size_t shift = lo % 64;
-    words_[word] ^= mask << shift;
-    if (shift + n > 64)
-        words_[word + 1] ^= mask >> (64 - shift);
-}
-
-void
 BitVector::xorWord(std::size_t word_index, std::uint64_t mask)
 {
     PCMSCRUB_ASSERT(word_index < words_.size(),

@@ -38,14 +38,6 @@ class BitVector
     void flip(std::size_t index);
 
     /**
-     * Flip every bit in [lo, lo+n), n <= 64, as one or two word-level
-     * XORs. Equivalent to n single flip() calls over the run — XOR
-     * deposits commute and cancel exactly like repeated flips — so
-     * burst injection can batch without changing observable state.
-     */
-    void flipRange(std::size_t lo, std::size_t n);
-
-    /**
      * XOR `mask` into backing word `word_index`. Bits past the vector
      * length must not be set in the mask; equivalent to flipping each
      * set bit individually.

@@ -96,14 +96,6 @@ JsonArray::pushRaw(std::string rendered)
     items_.push_back(std::move(rendered));
 }
 
-void
-JsonArray::pushNum(double value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    items_.emplace_back(buf);
-}
-
 std::string
 JsonArray::render() const
 {

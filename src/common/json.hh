@@ -47,9 +47,6 @@ class JsonArray
   public:
     void pushRaw(std::string rendered);
 
-    /** Append a bare number (rendered like JsonObject::num). */
-    void pushNum(double value);
-
     std::size_t size() const { return items_.size(); }
 
     std::string render() const;

@@ -51,7 +51,6 @@ class LightDetector : public Detector
     BitVector compute(const BitVector &data) const override;
     double missProbability(unsigned errors) const override;
 
-    unsigned parityBits() const { return parityBits_; }
     unsigned granularity() const { return granularity_; }
 
   private:

@@ -122,9 +122,6 @@ class FaultInjector
      */
     void shardStreams(std::size_t count);
 
-    /** Provisioned stream count (>= 1). */
-    std::size_t streamCount() const { return lanes_.size(); }
-
     // Sampling primitives (analytic backend) ------------------------
 
     /**

@@ -95,9 +95,6 @@ class MemoryController
     /** Fraction of reads that hit an open row buffer. */
     double rowHitRate() const;
 
-    /** Total bank-busy ticks (all banks summed). */
-    Tick totalBusy() const { return totalBusy_; }
-
     /** Busy fraction given the span of submitted traffic. */
     double utilization() const;
 

@@ -39,8 +39,6 @@ class MemGeometry
 
     unsigned channels() const { return channels_; }
     unsigned banksPerChannel() const { return banksPerChannel_; }
-    std::uint64_t rowsPerBank() const { return rowsPerBank_; }
-    unsigned linesPerRow() const { return linesPerRow_; }
 
     /** Total banks across all channels. */
     unsigned totalBanks() const { return channels_ * banksPerChannel_; }

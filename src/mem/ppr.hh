@@ -50,7 +50,6 @@ class PprRemapTable
 
     /** Rows provisioned over all partitions. */
     std::uint64_t capacity() const { return capacity_; }
-    unsigned ueThreshold() const { return ueThreshold_; }
 
     /** Rows left over all partitions. */
     std::uint64_t remaining() const;

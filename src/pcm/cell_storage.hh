@@ -240,7 +240,6 @@ class CellStorage
     /** Set the quantization spec on first model-bearing use. */
     void ensureSpec(const DeviceConfig &config);
     void copySpecFrom(const CellStorage &other);
-    bool hasSpec() const { return spec_.initialized(); }
     const QuantSpec &spec() const { return spec_; }
 
     /** Bytes held, including meta, overlays, aux, and intended. */

@@ -165,13 +165,6 @@ class Line
         return active_->constSpan(activeLine_, count_);
     }
 
-    /** Level cell `index` must hold for the intended codeword. */
-    unsigned targetLevelFor(unsigned index) const
-    {
-        return targetLevel(
-            active_->intendedWords(activeLine_), index);
-    }
-
     /**
      * Spare-remap model for repair: freeze every stuck cell at the
      * level the intended data wants, so the line reads correctly

@@ -65,9 +65,6 @@ class ControlledScrub : public ScrubPolicy
     }
     const SweepScrubBase &inner() const { return *inner_; }
 
-    /** The most recent controller sample (default before any). */
-    const ControllerSample &lastSample() const { return lastSample_; }
-
   private:
     std::unique_ptr<SweepScrubBase> inner_;
     RasControlPlane plane_;

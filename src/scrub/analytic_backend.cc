@@ -38,14 +38,9 @@ AnalyticBackend::AnalyticBackend(const AnalyticConfig &config)
           bitsPerCell)),
       avgIterationsPerCell_(averageIterationsPerCell(config.device)),
       lines_(config.lines),
-      spares_(config.degradation.enabled
-                  ? config.degradation.spareLines
-                  : 0,
-              plan_),
-      ppr_(config.degradation.enabled
-               ? config.degradation.pprSpareRows
-               : 0,
-           plan_, config.degradation.pprUeThreshold)
+      ladder_(config.degradation, plan_,
+              EnergyModel(config.device).marginReadExtra(cellsPerLine_),
+              static_cast<std::uint64_t>(cellsPerLine_) * bitsPerCell)
 {
     PCMSCRUB_ASSERT(config.lines >= 1, "backend needs lines");
     PCMSCRUB_ASSERT(config.weakCellsTracked < cellsPerLine_,
@@ -125,10 +120,7 @@ AnalyticBackend::metrics() const
     merged_ = ScrubMetrics{};
     for (const ShardState &shard : shards_)
         merged_.merge(shard.metrics);
-    // The spare pool is shared across shards; the merged gauge is
-    // its live level, not a per-shard sum.
-    merged_.sparesRemaining = spares_.remaining();
-    merged_.pprSparesRemaining = ppr_.remaining();
+    ladder_.mergeGauges(merged_);
     return merged_;
 }
 
@@ -527,22 +519,8 @@ AnalyticBackend::fullDecode(LineIndex line, Tick now)
         // whatever the ladder manages afterwards.
         chargeDemandExposure(line, lines_[line],
                              ageSeconds(lines_[line], now));
-        outcome.handledBy = config_.degradation.enabled
-            ? escalate(line, now)
-            : DegradationStage::HostVisible;
-        if (telemetry_ != nullptr) {
-            telemetry_->onUncorrectable(plan_.shardOf(line), line,
-                                        outcome.handledBy);
-        }
-        if (outcome.handledBy == DegradationStage::HostVisible) {
-            outcome.uncorrectable = true;
-            ++metricsFor(line).scrubUncorrectable;
-            ++metricsFor(line).ueSurfaced;
-        } else {
-            // A ladder stage absorbed the failure and left the line
-            // freshly rewritten; nothing remains for the caller.
-            outcome.errors = 0;
-        }
+        ladder_.settle(line, now, metricsFor(line), telemetry_, *this,
+                       outcome);
     } else if (outcome.errors > 0 && injector_ != nullptr &&
                injector_->sampleMiscorrection(plan_.shardOf(line))) {
         // Injected decoder fault: the "successful" correction in
@@ -552,132 +530,68 @@ AnalyticBackend::fullDecode(LineIndex line, Tick now)
     return outcome;
 }
 
-DegradationStage
-AnalyticBackend::escalate(LineIndex line, Tick now)
+void
+AnalyticBackend::refresh(LineIndex line, Tick now, bool new_data)
 {
-    const DegradationConfig &deg = config_.degradation;
-    LineState &state = lines_[line];
     const EnergyModel energy(config_.device);
-    ScrubMetrics &metrics = metricsFor(line);
-    const unsigned t = scheme_.guaranteedT();
+    const double pj = energy.lineWrite(static_cast<std::uint64_t>(
+        std::llround(cellsPerLine_ * avgIterationsPerCell_)));
+    metricsFor(line).energy.add(EnergyCategory::ArrayWrite, pj);
+    if (telemetry_ != nullptr)
+        telemetry_->onEnergy(plan_.shardOf(line), line, pj);
+    applyWear(line, lines_[line], 1.0);
+    resetAfterWrite(line, now, new_data);
+}
 
-    // Ladder-internal refresh: a full write that is not a scrub
-    // rewrite (the policy never asked for it).
-    const auto refresh = [&](bool new_data) {
-        const double pj = energy.lineWrite(static_cast<std::uint64_t>(
-            std::llround(cellsPerLine_ * avgIterationsPerCell_)));
-        metrics.energy.add(EnergyCategory::ArrayWrite, pj);
-        if (telemetry_ != nullptr)
-            telemetry_->onEnergy(plan_.shardOf(line), line, pj);
-        applyWear(line, state, 1.0);
-        resetAfterWrite(line, now, new_data);
-    };
-
-    // Stage 1: bounded widened-margin re-reads. A re-read sheds the
-    // visit's transient flips outright; the widened references
-    // additionally recover drifted cells with some probability.
-    // Stuck cells are immune, so a line whose stuck errors alone
+bool
+AnalyticBackend::retryRead(LineIndex line, Tick now, unsigned)
+{
+    // A failure not pinned on persistent errors (uePlaced) was
+    // transient-driven and resolves on the first plain re-read. The
+    // widened references recover drifted cells with some probability,
+    // but stuck cells are immune, so a line whose stuck errors alone
     // defeat the code cannot be retried back to health.
-    for (unsigned attempt = 1; attempt <= deg.maxRetries; ++attempt) {
-        ++metrics.ueRetries;
-        metrics.energy.add(EnergyCategory::MarginRead,
-                           energy.marginReadExtra(cellsPerLine_));
-        const bool transientOnly = !state.uePlaced;
-        const bool recovered = transientOnly ||
-            (state.stuckErrors <= t &&
-             rngFor(line).bernoulli(deg.retryResolveProb));
-        if (recovered) {
-            ++metrics.ueRetryResolved;
-            refresh(/*new_data=*/false);
-            return DegradationStage::Retry;
-        }
-    }
+    const LineState &state = lines_[line];
+    const bool transientOnly = !state.uePlaced;
+    const bool recovered = transientOnly ||
+        (state.stuckErrors <= scheme_.guaranteedT() &&
+         rngFor(line).bernoulli(config_.degradation.retryResolveProb));
+    if (recovered)
+        refresh(line, now, /*new_data=*/false);
+    return recovered;
+}
 
-    // Stage 2: full write-verify pass re-pointing the ECP budget at
-    // the currently-conflicting stuck cells.
-    if (deg.ecpRepair && config_.ecpEntries > 0) {
-        const unsigned covered = config_.ecpEntries / 2;
-        const unsigned remaining = state.stuckErrors > covered
-            ? state.stuckErrors - covered : 0;
-        refresh(/*new_data=*/false);
-        state.stuckErrors = static_cast<std::uint16_t>(remaining);
-        if (remaining <= t) {
-            ++metrics.ueEcpRepaired;
-            return DegradationStage::EcpRepair;
-        }
-    }
+bool
+AnalyticBackend::relearnEcp(LineIndex line, Tick now)
+{
+    if (config_.ecpEntries == 0)
+        return false;
+    LineState &state = lines_[line];
+    const unsigned covered = config_.ecpEntries / 2;
+    const unsigned remaining = state.stuckErrors > covered
+        ? state.stuckErrors - covered : 0;
+    refresh(line, now, /*new_data=*/false);
+    state.stuckErrors = static_cast<std::uint16_t>(remaining);
+    return remaining <= scheme_.guaranteedT();
+}
 
-    // Stage 3: post-package repair — permanently fuse a chronically
-    // failing address over to a spare row of its shard's partition
-    // (rows are provisioned per shard, as per bank). The fuse is
-    // one-shot per address and the rows are scarce, so only lines
-    // with a repeat-offender UE history qualify; a line felled by a
-    // one-off event falls through without burning a row.
-    if (deg.pprSpareRows > 0) {
-        ppr_.noteUncorrectable(line);
-        if (ppr_.qualifies(line) && ppr_.remap(line)) {
-            ++metrics.uePprRemapped;
-            warn_once("PPR-remapping chronic lines to spare rows "
-                      "(%llu rows configured)",
-                      static_cast<unsigned long long>(deg.pprSpareRows));
-            state.stuckCells = 0;
-            state.stuckErrors = 0;
-            state.writes = 0.0;
-            sampleWeakSpeeds(line); // New row, new drift tail.
-            refresh(/*new_data=*/true);
-            return DegradationStage::PprRemap;
-        }
-        if (ppr_.partitionExhausted(line)) {
-            warn_once("PPR spare rows exhausted in one shard's "
-                      "partition (%llu configured, at most %llu per "
-                      "shard); chronic lines in that shard now fall "
-                      "through to retirement",
-                      static_cast<unsigned long long>(deg.pprSpareRows),
-                      static_cast<unsigned long long>(
-                          plan_.share(deg.pprSpareRows, 0)));
-        }
-    }
+void
+AnalyticBackend::moveToFreshRow(LineIndex line, Tick now)
+{
+    LineState &state = lines_[line];
+    state.stuckCells = 0;
+    state.stuckErrors = 0;
+    state.writes = 0.0;
+    sampleWeakSpeeds(line); // New row, new drift tail.
+    refresh(line, now, /*new_data=*/true);
+}
 
-    // Stage 4: retire the line into its shard's partition of the
-    // spare-remap pool; the address now resolves to fresh spare
-    // silicon.
-    if (spares_.retire(line)) {
-        ++metrics.ueRetired;
-        metrics.capacityLostBits += lineBits();
-        warn_once("retiring failing lines to spares "
-                  "(%llu spares configured)",
-                  static_cast<unsigned long long>(deg.spareLines));
-        state.stuckCells = 0;
-        state.stuckErrors = 0;
-        state.writes = 0.0;
-        sampleWeakSpeeds(line); // New row, new drift tail.
-        refresh(/*new_data=*/true);
-        return DegradationStage::Retire;
-    }
-    if (deg.spareLines > 0) {
-        warn_once("spare pool exhausted in one shard's partition "
-                  "(%llu spares configured, at most %llu per shard); "
-                  "failing lines in that shard now fall through to "
-                  "SLC/host",
-                  static_cast<unsigned long long>(deg.spareLines),
-                  static_cast<unsigned long long>(
-                      plan_.share(deg.spareLines, 0)));
-    }
-
-    // Stage 5: drop the line to SLC — drift-immune, half density.
-    if (deg.slcFallback && !state.slc) {
-        state.slc = true;
-        ++metrics.ueSlcFallbacks;
-        metrics.capacityLostBits += lineBits();
-        warn_once("failing lines fall back to SLC operation "
-                  "(density halved)");
-        refresh(/*new_data=*/true);
-        if (state.stuckErrors <= t)
-            return DegradationStage::SlcFallback;
-    }
-
-    warn_once("uncorrectable errors surface to the host");
-    return DegradationStage::HostVisible;
+bool
+AnalyticBackend::dropToSlc(LineIndex line, Tick now)
+{
+    lines_[line].slc = true;
+    refresh(line, now, /*new_data=*/true);
+    return lines_[line].stuckErrors <= scheme_.guaranteedT();
 }
 
 unsigned
@@ -714,45 +628,31 @@ AnalyticBackend::scrubRewrite(LineIndex line, Tick now, bool preventive)
 {
     materialize(line, now);
     growDrift(line, now);
-    LineState &state = lines_[line];
-
-    const EnergyModel energy(config_.device);
     ScrubMetrics &metrics = metricsFor(line);
-    const double writePj = energy.lineWrite(static_cast<std::uint64_t>(
-        std::llround(cellsPerLine_ * avgIterationsPerCell_)));
-    metrics.energy.add(EnergyCategory::ArrayWrite, writePj);
     ++metrics.scrubRewrites;
     if (preventive)
         ++metrics.preventiveRewrites;
-    const std::uint64_t corrected = state.driftErrors + weakErrors(line);
+    const std::uint64_t corrected =
+        lines_[line].driftErrors + weakErrors(line);
     metrics.correctedErrors += corrected;
     if (telemetry_ != nullptr) {
+        // refresh() reports the write energy.
         telemetry_->onScrubWrite(plan_.shardOf(line), line, corrected,
-                                 writePj);
+                                 0.0);
     }
-
-    applyWear(line, state, 1.0);
     // Scrub rewrites restore the *same* data: stuck cells that
     // matched keep matching, conflicting ones stay wrong.
-    resetAfterWrite(line, now, /*new_data=*/false);
+    refresh(line, now, /*new_data=*/false);
 }
 
 void
 AnalyticBackend::repairUncorrectable(LineIndex line, Tick now)
 {
     materialize(line, now);
-    LineState &state = lines_[line];
-    const EnergyModel energy(config_.device);
-    const double writePj = energy.lineWrite(static_cast<std::uint64_t>(
-        std::llround(cellsPerLine_ * avgIterationsPerCell_)));
-    metricsFor(line).energy.add(EnergyCategory::ArrayWrite, writePj);
-    if (telemetry_ != nullptr)
-        telemetry_->onEnergy(plan_.shardOf(line), line, writePj);
-    applyWear(line, state, 1.0);
     // Recovery remaps conflicting stuck cells to spares and reloads
     // the data, so the line starts clean.
-    state.stuckErrors = 0;
-    resetAfterWrite(line, now, /*new_data=*/false);
+    lines_[line].stuckErrors = 0;
+    refresh(line, now, /*new_data=*/false);
 }
 
 void
@@ -820,8 +720,7 @@ AnalyticBackend::checkpointSave(SnapshotSink &sink) const
         sink.u32(shard.transientNow);
     }
 
-    spares_.saveState(sink);
-    ppr_.saveState(sink);
+    ladder_.saveState(sink);
 
     sink.boolean(injector_ != nullptr);
     if (injector_ != nullptr)
@@ -886,8 +785,7 @@ AnalyticBackend::checkpointLoad(SnapshotSource &source)
         shard.transientNow = source.u32();
     }
 
-    spares_.loadState(source);
-    ppr_.loadState(source);
+    ladder_.loadState(source);
 
     const bool hadInjector = source.boolean();
     if (hadInjector != (injector_ != nullptr)) {
@@ -933,15 +831,7 @@ AnalyticBackend::checkpointFingerprint() const
     fp.f64(config_.demand.zipfTheta);
     fp.f64(config_.demand.hotFraction);
     fp.f64(config_.demand.hotMultiplier);
-    fp.u64(config_.degradation.enabled ? 1 : 0);
-    fp.u64(config_.degradation.maxRetries);
-    fp.f64(config_.degradation.retryMarginWiden);
-    fp.f64(config_.degradation.retryResolveProb);
-    fp.u64(config_.degradation.ecpRepair ? 1 : 0);
-    fp.u64(config_.degradation.spareLines);
-    fp.u64(config_.degradation.slcFallback ? 1 : 0);
-    fp.u64(config_.degradation.pprSpareRows);
-    fp.u64(config_.degradation.pprUeThreshold);
+    ladder_.addToFingerprint(fp);
     config_.device.addToFingerprint(fp);
     return fp.value();
 }

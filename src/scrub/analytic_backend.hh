@@ -33,11 +33,10 @@
 #include "common/random.hh"
 #include "common/shard.hh"
 #include "ecc/detector.hh"
-#include "mem/metadata.hh"
-#include "mem/ppr.hh"
 #include "mem/region_telemetry.hh"
 #include "pcm/wear.hh"
 #include "scrub/backend.hh"
+#include "scrub/degradation_ladder.hh"
 #include "scrub/demand_model.hh"
 
 namespace pcmscrub {
@@ -114,7 +113,8 @@ struct AnalyticConfig
 /**
  * ScrubBackend implementation over closed-form physics.
  */
-class AnalyticBackend : public ScrubBackend
+class AnalyticBackend : public ScrubBackend,
+                        private DegradationLadder::Hooks
 {
   public:
     explicit AnalyticBackend(const AnalyticConfig &config);
@@ -139,8 +139,8 @@ class AnalyticBackend : public ScrubBackend
     void noteVisit(LineIndex line, Tick now) override;
     void setFaultInjector(FaultInjector *injector) override;
     void setTelemetry(RegionTelemetry *telemetry) override;
-    const SparePool *spares() const override { return &spares_; }
-    PprRemapTable *ppr() override { return &ppr_; }
+    const SparePool *spares() const override { return &ladder_.spares(); }
+    PprRemapTable *ppr() override { return &ladder_.ppr(); }
 
     /**
      * Per-shard metric slices merged in ascending shard order — the
@@ -166,12 +166,6 @@ class AnalyticBackend : public ScrubBackend
 
     /** Cumulative writes a line has absorbed. */
     double lineWrites(LineIndex line) const;
-
-    /** Retirement spare pool (empty unless the ladder provisions it). */
-    const SparePool &sparePool() const { return spares_; }
-
-    /** PPR remap table (empty unless the ladder provisions it). */
-    const PprRemapTable &pprTable() const { return ppr_; }
 
     const AnalyticConfig &config() const { return config_; }
 
@@ -270,18 +264,19 @@ class AnalyticBackend : public ScrubBackend
     unsigned transientErrors(LineIndex line, Tick now);
 
     /**
-     * Analytic degradation ladder over a line whose decode failed;
-     * mirrors CellBackend::escalate() in expectation. A failure not
-     * pinned on persistent errors (uePlaced) was transient-driven
-     * and resolves on the first plain re-read.
+     * Full-line write (scrub rewrite, UE repair, or a ladder stage's
+     * refresh): charge its energy and wear, then restart the line's
+     * drift clock.
      */
-    DegradationStage escalate(LineIndex line, Tick now);
+    void refresh(LineIndex line, Tick now, bool new_data);
 
-    /** Data+check bits a line stores (capacity accounting). */
-    std::uint64_t lineBits() const
-    {
-        return static_cast<std::uint64_t>(cellsPerLine_) * bitsPerCell;
-    }
+    // DegradationLadder::Hooks: the ladder's stages in expectation.
+
+    bool retryRead(LineIndex line, Tick now, unsigned attempt) override;
+    bool relearnEcp(LineIndex line, Tick now) override;
+    void moveToFreshRow(LineIndex line, Tick now) override;
+    bool isSlc(LineIndex line) const override { return lines_[line].slc; }
+    bool dropToSlc(LineIndex line, Tick now) override;
 
     /**
      * State owned by one shard: its RNG stream, metrics slice, and
@@ -317,8 +312,7 @@ class AnalyticBackend : public ScrubBackend
     std::vector<WeakCell> weakCells_; //!< lines x weakCellsTracked.
     std::vector<ShardState> shards_;
     mutable ScrubMetrics merged_; //!< Rebuilt on each metrics() call.
-    SparePool spares_;
-    PprRemapTable ppr_;
+    DegradationLadder ladder_;
     FaultInjector *injector_ = nullptr;    //!< Not owned.
     RegionTelemetry *telemetry_ = nullptr; //!< Not owned.
 };

@@ -33,14 +33,9 @@ CellBackend::CellBackend(const CellBackendConfig &config)
              config.seed),
       plan_(config.lines, config.shards),
       wear_(config.device),
-      spares_(config.degradation.enabled
-                  ? config.degradation.spareLines
-                  : 0,
-              plan_),
-      ppr_(config.degradation.enabled
-               ? config.degradation.pprSpareRows
-               : 0,
-           plan_, config.degradation.pprUeThreshold)
+      ladder_(config.degradation, plan_,
+              energyModel_.marginReadExtra(cellsPerLine()),
+              code_->codewordBits())
 {
     shards_.resize(plan_.count());
     for (std::size_t shard = 0; shard < plan_.count(); ++shard)
@@ -87,10 +82,11 @@ CellBackend::cellsPerLine() const
 }
 
 BitVector
-CellBackend::senseRaw(LineIndex line, Tick now) const
+CellBackend::senseRaw(LineIndex line, Tick now,
+                      double threshold_shift) const
 {
-    BitVector word = array_.line(line).readCodeword(now,
-                                                    array_.model());
+    BitVector word = array_.line(line).readCodeword(now, array_.model(),
+                                                    threshold_shift);
     if (!ecp_.empty())
         ecp_[line].apply(word);
     return word;
@@ -281,22 +277,7 @@ CellBackend::fullDecode(LineIndex line, Tick now)
         break;
       case DecodeStatus::Uncorrectable:
         outcome.errors = trueErrors(line, now);
-        outcome.handledBy = config_.degradation.enabled
-            ? escalate(line, now)
-            : DegradationStage::HostVisible;
-        if (telemetry_ != nullptr) {
-            telemetry_->onUncorrectable(plan_.shardOf(line), line,
-                                        outcome.handledBy);
-        }
-        if (outcome.handledBy == DegradationStage::HostVisible) {
-            outcome.uncorrectable = true;
-            ++metrics.scrubUncorrectable;
-            ++metrics.ueSurfaced;
-        } else {
-            // A ladder stage absorbed the failure and left the line
-            // freshly rewritten; nothing remains for the caller.
-            outcome.errors = 0;
-        }
+        ladder_.settle(line, now, metrics, telemetry_, *this, outcome);
         break;
     }
     return outcome;
@@ -309,115 +290,48 @@ CellBackend::decodes(LineIndex line, Tick now)
     return code_->decode(word).status != DecodeStatus::Uncorrectable;
 }
 
-DegradationStage
-CellBackend::escalate(LineIndex line, Tick now)
+bool
+CellBackend::retryRead(LineIndex line, Tick now, unsigned attempt)
 {
-    const DegradationConfig &deg = config_.degradation;
+    BitVector word = senseRaw(
+        line, now, config_.degradation.retryMarginWiden * attempt);
+    if (code_->decode(word).status == DecodeStatus::Uncorrectable)
+        return false;
+    if (word != array_.line(line).intendedWord()) {
+        // The retry "recovered" a wrong codeword; from here on the
+        // controller faithfully preserves bad data.
+        ++metricsFor(line).miscorrections;
+    }
+    // Refresh with the recovered word (decode corrected it in place);
+    // this is ladder-internal, not a scrub rewrite.
+    programLine(line, word, now);
+    return true;
+}
+
+bool
+CellBackend::relearnEcp(LineIndex line, Tick now)
+{
+    if (ecp_.empty())
+        return false;
+    programLine(line, array_.line(line).intendedWord(), now);
+    return decodes(line, now);
+}
+
+void
+CellBackend::moveToFreshRow(LineIndex line, Tick now)
+{
     Line &physical = array_.line(line);
-    ScrubMetrics &metrics = metricsFor(line);
+    physical.initialize(array_.model(), rngFor(line));
+    programLine(line, physical.intendedWord(), now);
+}
 
-    // Stage 1: bounded re-reads with progressively widened sensing
-    // margins. Drifted cells sit just past a nominal threshold, so
-    // raising the references reclaims them; stuck cells are immune.
-    for (unsigned attempt = 1; attempt <= deg.maxRetries; ++attempt) {
-        ++metrics.ueRetries;
-        metrics.energy.add(
-            EnergyCategory::MarginRead,
-            energyModel_.marginReadExtra(cellsPerLine()));
-        BitVector word = physical.readCodeword(
-            now, array_.model(), deg.retryMarginWiden * attempt);
-        if (!ecp_.empty())
-            ecp_[line].apply(word);
-        if (code_->decode(word).status != DecodeStatus::Uncorrectable) {
-            ++metrics.ueRetryResolved;
-            if (word != physical.intendedWord()) {
-                // The retry "recovered" a wrong codeword; from here
-                // on the controller faithfully preserves bad data.
-                ++metrics.miscorrections;
-            }
-            // Refresh with the recovered word (decode corrected it in
-            // place); this is ladder-internal, not a scrub rewrite.
-            programLine(line, word, now);
-            return DegradationStage::Retry;
-        }
-    }
-
-    // Stage 2: full write-verify pass so ECP re-learns the line's
-    // stuck bits against the intended data.
-    if (deg.ecpRepair && !ecp_.empty()) {
-        programLine(line, physical.intendedWord(), now);
-        if (decodes(line, now)) {
-            ++metrics.ueEcpRepaired;
-            return DegradationStage::EcpRepair;
-        }
-    }
-
-    // Stage 3: post-package repair — permanently fuse a chronically
-    // failing address over to a spare row of its shard's partition
-    // (rows are provisioned per shard, as per bank). The fuse is
-    // one-shot per address and the rows are scarce, so only lines
-    // with a repeat-offender UE history qualify; a line felled by a
-    // one-off event falls through without burning a row.
-    if (deg.pprSpareRows > 0) {
-        ppr_.noteUncorrectable(line);
-        if (ppr_.qualifies(line) && ppr_.remap(line)) {
-            ++metrics.uePprRemapped;
-            warn_once("PPR-remapping chronic lines to spare rows "
-                      "(%llu rows configured)",
-                      static_cast<unsigned long long>(deg.pprSpareRows));
-            physical.initialize(array_.model(), rngFor(line));
-            programLine(line, physical.intendedWord(), now);
-            return DegradationStage::PprRemap;
-        }
-        if (ppr_.partitionExhausted(line)) {
-            warn_once("PPR spare rows exhausted in one shard's "
-                      "partition (%llu configured, at most %llu per "
-                      "shard); chronic lines in that shard now fall "
-                      "through to retirement",
-                      static_cast<unsigned long long>(deg.pprSpareRows),
-                      static_cast<unsigned long long>(
-                          plan_.share(deg.pprSpareRows, 0)));
-        }
-    }
-
-    // Stage 4: retire the line into its shard's partition of the
-    // spare-remap pool. Modelled as the address now resolving to
-    // fresh spare silicon.
-    if (spares_.retire(line)) {
-        ++metrics.ueRetired;
-        metrics.capacityLostBits += physical.codewordBits();
-        warn_once("retiring failing lines to spares "
-                  "(%llu spares configured)",
-                  static_cast<unsigned long long>(deg.spareLines));
-        physical.initialize(array_.model(), rngFor(line));
-        programLine(line, physical.intendedWord(), now);
-        return DegradationStage::Retire;
-    }
-    if (deg.spareLines > 0) {
-        warn_once("spare pool exhausted in one shard's partition "
-                  "(%llu spares configured, at most %llu per shard); "
-                  "failing lines in that shard now fall through to "
-                  "SLC/host",
-                  static_cast<unsigned long long>(deg.spareLines),
-                  static_cast<unsigned long long>(
-                      plan_.share(deg.spareLines, 0)));
-    }
-
-    // Stage 5: drop the line to SLC — extreme levels only, immune to
-    // drift, at half density.
-    if (deg.slcFallback && !physical.slcMode()) {
-        physical.setSlcMode(array_.model(), rngFor(line));
-        ++metrics.ueSlcFallbacks;
-        metrics.capacityLostBits += physical.codewordBits();
-        warn_once("failing lines fall back to SLC operation "
-                  "(density halved)");
-        programLine(line, physical.intendedWord(), now);
-        if (decodes(line, now))
-            return DegradationStage::SlcFallback;
-    }
-
-    warn_once("uncorrectable errors surface to the host");
-    return DegradationStage::HostVisible;
+bool
+CellBackend::dropToSlc(LineIndex line, Tick now)
+{
+    Line &physical = array_.line(line);
+    physical.setSlcMode(array_.model(), rngFor(line));
+    programLine(line, physical.intendedWord(), now);
+    return decodes(line, now);
 }
 
 unsigned
@@ -507,8 +421,7 @@ CellBackend::metrics() const
     merged_ = ScrubMetrics{};
     for (const ShardState &shard : shards_)
         merged_.merge(shard.metrics);
-    merged_.sparesRemaining = spares_.remaining();
-    merged_.pprSparesRemaining = ppr_.remaining();
+    ladder_.mergeGauges(merged_);
     return merged_;
 }
 
@@ -549,8 +462,7 @@ CellBackend::checkpointSave(SnapshotSink &sink) const
         sink.u64(shard.bufferedTick);
     }
 
-    spares_.saveState(sink);
-    ppr_.saveState(sink);
+    ladder_.saveState(sink);
 
     sink.boolean(injector_ != nullptr);
     if (injector_ != nullptr)
@@ -586,8 +498,7 @@ CellBackend::checkpointLoad(SnapshotSource &source)
         shard.bufferedTick = source.u64();
     }
 
-    spares_.loadState(source);
-    ppr_.loadState(source);
+    ladder_.loadState(source);
 
     const bool hadInjector = source.boolean();
     if (hadInjector != (injector_ != nullptr)) {
@@ -630,15 +541,7 @@ CellBackend::checkpointFingerprint() const
     fp.u64(config_.ecpEntries);
     fp.u64(config_.seed);
     fp.u64(plan_.count());
-    fp.u64(config_.degradation.enabled ? 1 : 0);
-    fp.u64(config_.degradation.maxRetries);
-    fp.f64(config_.degradation.retryMarginWiden);
-    fp.f64(config_.degradation.retryResolveProb);
-    fp.u64(config_.degradation.ecpRepair ? 1 : 0);
-    fp.u64(config_.degradation.spareLines);
-    fp.u64(config_.degradation.slcFallback ? 1 : 0);
-    fp.u64(config_.degradation.pprSpareRows);
-    fp.u64(config_.degradation.pprUeThreshold);
+    ladder_.addToFingerprint(fp);
     config_.device.addToFingerprint(fp);
     return fp.value();
 }

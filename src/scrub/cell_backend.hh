@@ -21,13 +21,12 @@
 #include "ecc/checksum.hh"
 #include "ecc/code.hh"
 #include "ecc/ecp.hh"
-#include "mem/metadata.hh"
-#include "mem/ppr.hh"
 #include "mem/region_telemetry.hh"
 #include "pcm/array.hh"
 #include "pcm/energy.hh"
 #include "pcm/wear.hh"
 #include "scrub/backend.hh"
+#include "scrub/degradation_ladder.hh"
 
 namespace pcmscrub {
 
@@ -74,7 +73,8 @@ struct CellBackendConfig
 /**
  * ScrubBackend over a CellArray with real encode/decode.
  */
-class CellBackend : public ScrubBackend
+class CellBackend : public ScrubBackend,
+                    private DegradationLadder::Hooks
 {
   public:
     explicit CellBackend(const CellBackendConfig &config);
@@ -98,8 +98,8 @@ class CellBackend : public ScrubBackend
     void noteVisit(LineIndex line, Tick now) override;
     void setFaultInjector(FaultInjector *injector) override;
     void setTelemetry(RegionTelemetry *telemetry) override;
-    const SparePool *spares() const override { return &spares_; }
-    PprRemapTable *ppr() override { return &ppr_; }
+    const SparePool *spares() const override { return &ladder_.spares(); }
+    PprRemapTable *ppr() override { return &ladder_.ppr(); }
 
     /**
      * Per-shard metric slices merged in ascending shard order — the
@@ -135,12 +135,6 @@ class CellBackend : public ScrubBackend
     /** ECP entries consumed on a line (0 when ECP is off). */
     unsigned ecpUsed(LineIndex line) const;
 
-    /** Retirement spare pool (empty unless the ladder provisions it). */
-    const SparePool &sparePool() const { return spares_; }
-
-    /** PPR remap table (empty unless the ladder provisions it). */
-    const PprRemapTable &pprTable() const { return ppr_; }
-
   private:
     /** Charge the array-read energy once per (line, tick) visit. */
     void chargeArrayRead(LineIndex line, Tick now);
@@ -152,8 +146,12 @@ class CellBackend : public ScrubBackend
      */
     const BitVector &readLine(LineIndex line, Tick now);
 
-    /** Sense without energy accounting (ground-truth queries). */
-    BitVector senseRaw(LineIndex line, Tick now) const;
+    /**
+     * Sense without energy accounting (ground-truth queries, ladder
+     * re-reads), thresholds raised by `threshold_shift` decades.
+     */
+    BitVector senseRaw(LineIndex line, Tick now,
+                       double threshold_shift = 0.0) const;
 
     /**
      * Re-learn a line's stuck bits at write-verify time and point
@@ -172,14 +170,16 @@ class CellBackend : public ScrubBackend
     /** Whether the line currently senses to a decodable word. */
     bool decodes(LineIndex line, Tick now);
 
-    /**
-     * Run the degradation ladder over a line whose decode failed:
-     * widened-margin retries, ECP re-learn, retirement to a spare,
-     * SLC fallback. Returns the stage that absorbed the failure
-     * (HostVisible when none did). Absorbing stages leave the line
-     * freshly rewritten.
-     */
-    DegradationStage escalate(LineIndex line, Tick now);
+    // DegradationLadder::Hooks: the ladder's stages on real cells.
+
+    bool retryRead(LineIndex line, Tick now, unsigned attempt) override;
+    bool relearnEcp(LineIndex line, Tick now) override;
+    void moveToFreshRow(LineIndex line, Tick now) override;
+    bool isSlc(LineIndex line) const override
+    {
+        return array_.line(line).slcMode();
+    }
+    bool dropToSlc(LineIndex line, Tick now) override;
 
     static std::unique_ptr<Code> buildCode(const EccScheme &scheme);
 
@@ -236,8 +236,7 @@ class CellBackend : public ScrubBackend
     std::vector<ShardState> shards_;
     mutable ScrubMetrics merged_; //!< Rebuilt on each metrics() call.
     WearModel wear_;
-    SparePool spares_;
-    PprRemapTable ppr_;
+    DegradationLadder ladder_;
     FaultInjector *injector_ = nullptr;    //!< Not owned.
     RegionTelemetry *telemetry_ = nullptr; //!< Not owned.
 };

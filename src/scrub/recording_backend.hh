@@ -67,12 +67,13 @@ class RecordingBackend : public ScrubBackend
     FullDecodeOutcome fullDecode(LineIndex line, Tick now) override
     {
         recordCheck(line, now);
-        // The degradation ladder runs inside the inner backend; diff
-        // its counters to surface the traffic it generated — each
-        // widened-margin retry is a slow read, and an absorbing stage
-        // leaves behind one full rewrite. metrics() may return a
-        // merge-on-call snapshot, so take the counter values before
-        // and re-fetch after rather than holding the reference.
+        // The inner backend's fullDecode settles a UE through its
+        // DegradationLadder; diff the ladder counters to surface the
+        // traffic it generated — each widened-margin retry is a slow
+        // read, and an absorbing stage leaves behind one full
+        // rewrite. metrics() may return a merge-on-call snapshot, so
+        // take the counter values before and re-fetch after rather
+        // than holding the reference.
         const std::uint64_t retriesBefore = inner_.metrics().ueRetries;
         const std::uint64_t absorbedBefore =
             inner_.metrics().ueAbsorbed();

@@ -143,9 +143,6 @@ class CheckpointRuntime
     void poll(const ScrubBackend &backend, const ScrubPolicy &policy,
               const CheckpointMeta &meta);
 
-    /** True once a resume snapshot has been consumed. */
-    bool resumeConsumed() const { return resumeConsumed_; }
-
     /** Signal flag, for harnesses with custom loops. */
     static bool signalled();
 

@@ -139,8 +139,9 @@ TEST(BchFuzz, DecoderStaysHonestOnWeakCodesBeyondT)
                 // happens to be a valid codeword (the error pattern
                 // itself had codeword weight) — verifiable either way.
                 if (res.status == DecodeStatus::Clean ||
-                    res.status == DecodeStatus::Corrected)
+                    res.status == DecodeStatus::Corrected) {
                     EXPECT_TRUE(code.check(cw));
+                }
             }
         }
     }
@@ -162,8 +163,9 @@ TEST(BchFuzz, UncorrectableVerdictLeavesPayloadRecoverableByRetry)
         injectErrors(cw, 4 + 1 + trial % 3, rng);
         const BitVector asHanded = cw;
         const DecodeResult res = code.decode(cw);
-        if (res.status == DecodeStatus::Uncorrectable)
+        if (res.status == DecodeStatus::Uncorrectable) {
             EXPECT_EQ(cw, asHanded);
+        }
     }
 }
 

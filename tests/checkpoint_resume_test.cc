@@ -622,10 +622,10 @@ captureRas(const RasSim &sim)
     out.metrics = sim.device->metrics();
     out.intervalS = sim.policy->controlPlane().scrubIntervalS();
     out.calmSamples = sim.policy->controller().calmSamples();
-    out.pprRemapped = sim.device->pprTable().remappedCount();
+    out.pprRemapped = sim.device->ppr()->remappedCount();
     for (LineIndex line = 0; line < sim.device->lineCount(); ++line)
         out.remapped.push_back(
-            sim.device->pprTable().isRemapped(line));
+            sim.device->ppr()->isRemapped(line));
     const RegionTelemetry &telemetry =
         sim.policy->controlPlane().telemetry();
     for (std::uint64_t r = 0; r < telemetry.regionCount(); ++r)

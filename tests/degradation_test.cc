@@ -2,14 +2,20 @@
  * @file
  * Tests for the UE degradation ladder: widened-margin retries, ECP
  * re-learn, spare-pool retirement, and SLC fallback — on both
- * backends, driven by deterministic fault campaigns.
+ * backends, driven by deterministic fault campaigns, and in the
+ * shared driver alone over scripted backend actions.
  */
+
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "faults/fault_injector.hh"
+#include "mem/region_telemetry.hh"
 #include "scrub/analytic_backend.hh"
 #include "scrub/cell_backend.hh"
+#include "scrub/degradation_ladder.hh"
 #include "scrub/recording_backend.hh"
 
 namespace pcmscrub {
@@ -153,7 +159,7 @@ TEST(DegradationLadder, RetirementConsumesSparesThenFallsToSlc)
     config.degradation.slcFallback = true;
     CellBackend backend(config);
 
-    EXPECT_EQ(backend.sparePool().capacity(), 2u);
+    EXPECT_EQ(backend.spares()->capacity(), 2u);
     EXPECT_EQ(backend.metrics().sparesRemaining, 2u);
 
     // Far more stuck cells than any stage below retirement can fix.
@@ -182,7 +188,7 @@ TEST(DegradationLadder, RetirementConsumesSparesThenFallsToSlc)
     EXPECT_EQ(m.ueSurfaced, 2u);
     EXPECT_EQ(m.ueRetries, 4u); // One bounded retry per line.
 
-    const SparePool &pool = backend.sparePool();
+    const SparePool &pool = *backend.spares();
     EXPECT_TRUE(pool.exhausted());
     EXPECT_EQ(pool.retiredCount(), 2u);
     EXPECT_TRUE(pool.isRetired(0));
@@ -282,7 +288,7 @@ TEST(DegradationLadder, AnalyticRetirementTracksSparesAndCapacity)
     const ScrubMetrics &m = backend.metrics();
     EXPECT_EQ(m.ueRetired, 4u);
     EXPECT_EQ(m.sparesRemaining, 0u);
-    EXPECT_TRUE(backend.sparePool().exhausted());
+    EXPECT_TRUE(backend.spares()->exhausted());
     EXPECT_GT(m.ueSlcFallbacks, 0u);
 
     const std::uint64_t lineBits =
@@ -326,6 +332,146 @@ TEST(DegradationLadder, RecorderEmitsRetryReadsAndLadderRewrites)
     EXPECT_GT(trace.countOf(ReqType::RetryRead), 0u);
     EXPECT_EQ(trace.countOf(ReqType::ScrubRewrite),
               inner.metrics().ueAbsorbed());
+}
+
+// ---------------------------------------------------------------
+// The shared driver alone, over scripted backend actions.
+// ---------------------------------------------------------------
+
+/** Backend actions that log each call and answer from a script. */
+class ScriptedHooks final : public DegradationLadder::Hooks
+{
+  public:
+    bool retryRecovers = false;
+    bool ecpRecovers = false;
+    bool slc = false;
+    bool slcRecovers = false;
+    std::vector<std::string> calls;
+
+    bool retryRead(LineIndex, Tick, unsigned attempt) override
+    {
+        calls.push_back("retry" + std::to_string(attempt));
+        return retryRecovers;
+    }
+
+    bool relearnEcp(LineIndex, Tick) override
+    {
+        calls.push_back("ecp");
+        return ecpRecovers;
+    }
+
+    void moveToFreshRow(LineIndex, Tick) override
+    {
+        calls.push_back("fresh");
+    }
+
+    bool isSlc(LineIndex) const override { return slc; }
+
+    bool dropToSlc(LineIndex, Tick) override
+    {
+        calls.push_back("slc");
+        slc = true;
+        return slcRecovers;
+    }
+};
+
+using Calls = std::vector<std::string>;
+
+TEST(DegradationLadder, DriverClimbsStagesInOrderOverScriptedHooks)
+{
+    DegradationConfig deg;
+    deg.enabled = true;
+    deg.maxRetries = 2;
+    deg.pprSpareRows = 1;
+    deg.pprUeThreshold = 1;
+    deg.spareLines = 1;
+    deg.slcFallback = true;
+    const ShardPlan plan(4, 1);
+    DegradationLadder ladder(deg, plan, /*margin_read_pj=*/3.0,
+                             /*line_bits=*/100);
+    RegionTelemetry telemetry(4, 4, plan.count());
+    ScriptedHooks hooks;
+    ScrubMetrics m;
+    const auto settle = [&] {
+        hooks.calls.clear();
+        FullDecodeOutcome outcome;
+        outcome.errors = 9;
+        ladder.settle(0, secondsToTicks(1.0), m, &telemetry, hooks,
+                      outcome);
+        return outcome;
+    };
+
+    // Retries and ECP fail; the chronic line takes the one PPR row.
+    FullDecodeOutcome outcome = settle();
+    EXPECT_EQ(outcome.handledBy, DegradationStage::PprRemap);
+    EXPECT_FALSE(outcome.uncorrectable);
+    EXPECT_EQ(outcome.errors, 0u);
+    EXPECT_EQ(hooks.calls, (Calls{"retry1", "retry2", "ecp", "fresh"}));
+
+    // The fuse is one-shot, so the next UE retires the line.
+    outcome = settle();
+    EXPECT_EQ(outcome.handledBy, DegradationStage::Retire);
+    EXPECT_EQ(hooks.calls, (Calls{"retry1", "retry2", "ecp", "fresh"}));
+
+    // No spare left: the line drops to SLC, still fails, surfaces.
+    outcome = settle();
+    EXPECT_EQ(outcome.handledBy, DegradationStage::HostVisible);
+    EXPECT_TRUE(outcome.uncorrectable);
+    EXPECT_EQ(outcome.errors, 9u);
+    EXPECT_EQ(hooks.calls, (Calls{"retry1", "retry2", "ecp", "slc"}));
+
+    // An SLC line has no rung left below retirement.
+    outcome = settle();
+    EXPECT_EQ(outcome.handledBy, DegradationStage::HostVisible);
+    EXPECT_EQ(hooks.calls, (Calls{"retry1", "retry2", "ecp"}));
+
+    // A re-read that recovers ends the climb at once.
+    hooks.retryRecovers = true;
+    outcome = settle();
+    EXPECT_EQ(outcome.handledBy, DegradationStage::Retry);
+    EXPECT_EQ(hooks.calls, (Calls{"retry1"}));
+
+    EXPECT_EQ(m.ueRetries, 9u);
+    EXPECT_EQ(m.ueRetryResolved, 1u);
+    EXPECT_EQ(m.ueEcpRepaired, 0u);
+    EXPECT_EQ(m.uePprRemapped, 1u);
+    EXPECT_EQ(m.ueRetired, 1u);
+    EXPECT_EQ(m.ueSlcFallbacks, 1u);
+    EXPECT_EQ(m.ueSurfaced, 2u);
+    EXPECT_EQ(m.scrubUncorrectable, 2u);
+    EXPECT_EQ(m.capacityLostBits, 200u); // Retirement and SLC.
+    EXPECT_EQ(m.energy.get(EnergyCategory::MarginRead), 27.0);
+
+    ladder.mergeGauges(m);
+    EXPECT_EQ(m.sparesRemaining, 0u);
+    EXPECT_EQ(m.pprSparesRemaining, 0u);
+
+    const RegionCounters totals = telemetry.totals();
+    EXPECT_EQ(totals.ladderEscalations, 3u);
+    EXPECT_EQ(totals.uncorrectable, 2u);
+}
+
+TEST(DegradationLadder, DisabledDriverSurfacesEveryUeUntouched)
+{
+    DegradationConfig deg; // Off, whatever it would provision.
+    deg.spareLines = 8;
+    deg.pprSpareRows = 8;
+    DegradationLadder ladder(deg, ShardPlan(4, 1), 3.0, 100);
+    EXPECT_EQ(ladder.spares().capacity(), 0u);
+    EXPECT_EQ(ladder.ppr().capacity(), 0u);
+
+    ScriptedHooks hooks;
+    hooks.retryRecovers = true;
+    ScrubMetrics m;
+    FullDecodeOutcome outcome;
+    outcome.errors = 9;
+    ladder.settle(0, secondsToTicks(1.0), m, nullptr, hooks, outcome);
+    EXPECT_EQ(outcome.handledBy, DegradationStage::HostVisible);
+    EXPECT_TRUE(outcome.uncorrectable);
+    EXPECT_EQ(outcome.errors, 9u);
+    EXPECT_TRUE(hooks.calls.empty());
+    EXPECT_EQ(m.ueSurfaced, 1u);
+    EXPECT_EQ(m.ueRetries, 0u);
 }
 
 } // namespace

@@ -159,9 +159,10 @@ TEST_P(FleetDeterminismTest, ChaosOnlyPerturbsItsVictims)
     ASSERT_EQ(clean.devices.size(), chaotic.devices.size());
     for (std::size_t i = 0; i < clean.devices.size(); ++i) {
         const SupervisedResult &device = chaotic.devices[i];
-        if (!chaotic.plans[i].isVictim())
+        if (!chaotic.plans[i].isVictim()) {
             EXPECT_EQ(device.outcome, DeviceOutcome::Completed)
                 << "device " << i;
+        }
         if (device.succeeded()) {
             EXPECT_EQ(device.digest, clean.devices[i].digest)
                 << "device " << i;

@@ -169,9 +169,10 @@ TEST(FleetResilienceTest, ManifestAccountsForEveryDevice)
     // Chaos leaves its fingerprints: recorded failure reasons and at
     // least one quarantine reason.
     EXPECT_NE(json.find("(chaos)"), std::string::npos);
-    if (result.quarantined > 0)
+    if (result.quarantined > 0) {
         EXPECT_NE(json.find("\"quarantine_reason\""),
                   std::string::npos);
+    }
     // Survivors carry their result digest.
     EXPECT_NE(json.find("\"digest\""), std::string::npos);
 }

@@ -94,9 +94,9 @@ TEST(PprLadder, AnalyticEscalationOrder)
     EXPECT_EQ(m.ueAbsorbed(), 6u);
     EXPECT_EQ(m.pprSparesRemaining, 0u);
     EXPECT_EQ(m.sparesRemaining, 0u);
-    EXPECT_TRUE(backend.pprTable().exhausted());
-    EXPECT_TRUE(backend.pprTable().isRemapped(0));
-    EXPECT_TRUE(backend.pprTable().isRemapped(1));
+    EXPECT_TRUE(backend.ppr()->exhausted());
+    EXPECT_TRUE(backend.ppr()->isRemapped(0));
+    EXPECT_TRUE(backend.ppr()->isRemapped(1));
 }
 
 TEST(PprLadder, AnalyticRetryAndEcpOutrankPpr)
@@ -111,7 +111,7 @@ TEST(PprLadder, AnalyticRetryAndEcpOutrankPpr)
         retryBackend.fullDecode(0, secondsToTicks(100.0));
     EXPECT_EQ(viaRetry.handledBy, DegradationStage::Retry);
     EXPECT_EQ(retryBackend.metrics().uePprRemapped, 0u);
-    EXPECT_EQ(retryBackend.pprTable().remappedCount(), 0u);
+    EXPECT_EQ(retryBackend.ppr()->remappedCount(), 0u);
 
     // With ECP repair enabled (and no stuck cells to re-learn), the
     // write-verify pass absorbs the event before PPR is consulted.
@@ -141,14 +141,14 @@ TEST(PprLadder, AnalyticChronicGateSparesOneOffLines)
     const FullDecodeOutcome first =
         backend.fullDecode(0, secondsToTicks(100.0));
     EXPECT_EQ(first.handledBy, DegradationStage::HostVisible);
-    EXPECT_EQ(backend.pprTable().ueHistory(0), 1u);
-    EXPECT_EQ(backend.pprTable().remappedCount(), 0u);
+    EXPECT_EQ(backend.ppr()->ueHistory(0), 1u);
+    EXPECT_EQ(backend.ppr()->remappedCount(), 0u);
 
     const FullDecodeOutcome second =
         backend.fullDecode(0, secondsToTicks(200.0));
     EXPECT_EQ(second.handledBy, DegradationStage::PprRemap);
-    EXPECT_EQ(backend.pprTable().ueHistory(0), 2u);
-    EXPECT_TRUE(backend.pprTable().isRemapped(0));
+    EXPECT_EQ(backend.ppr()->ueHistory(0), 2u);
+    EXPECT_TRUE(backend.ppr()->isRemapped(0));
     EXPECT_EQ(backend.metrics().uePprRemapped, 1u);
     EXPECT_EQ(backend.metrics().ueSurfaced, 1u);
 }
@@ -191,7 +191,7 @@ TEST(PprLadder, CellEscalationOrder)
     freezer.freezeCells(backend.array().line(line), 60);
     outcome = backend.fullDecode(line, secondsToTicks(2.0));
     EXPECT_EQ(outcome.handledBy, DegradationStage::PprRemap);
-    EXPECT_TRUE(backend.pprTable().isRemapped(line));
+    EXPECT_TRUE(backend.ppr()->isRemapped(line));
     EXPECT_EQ(backend.metrics().uePprRemapped, 1u);
     EXPECT_EQ(backend.metrics().pprSparesRemaining, 0u);
     // The remapped row is fresh silicon: clean from here on.

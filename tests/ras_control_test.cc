@@ -9,6 +9,7 @@
  * documented hysteresis and clamping behaviour.
  */
 
+#include <array>
 #include <cmath>
 #include <memory>
 
@@ -147,11 +148,11 @@ TEST(RasControlPlane, RequestPprRemapConsumesASpareRow)
     StrongEccScrub policy(secondsToTicks(3600.0));
     RasControlPlane plane(backend, policy, testSettings());
 
-    EXPECT_FALSE(backend.pprTable().isRemapped(3));
+    EXPECT_FALSE(backend.ppr()->isRemapped(3));
     plane.requestPprRemap(3, kHour);
-    EXPECT_TRUE(backend.pprTable().isRemapped(3));
-    EXPECT_EQ(backend.pprTable().remaining(), 3u);
-    EXPECT_EQ(backend.pprTable().remappedCount(), 1u);
+    EXPECT_TRUE(backend.ppr()->isRemapped(3));
+    EXPECT_EQ(backend.ppr()->remaining(), 3u);
+    EXPECT_EQ(backend.ppr()->remappedCount(), 1u);
 }
 
 TEST(RasControlPlaneDeathTest, PprRemapRejectsBadRequests)
@@ -336,6 +337,124 @@ TEST(RegionTelemetryIntegration, CellBackendRecordsTelemetry)
     EXPECT_EQ(totals.correctedErrors,
               backend.metrics().correctedErrors);
     EXPECT_GT(totals.energyPj, 0.0);
+}
+
+/** A ladder with few repair resources: some UEs are absorbed and
+ *  some surface once the rungs run dry. */
+DegradationConfig
+scarceLadder()
+{
+    DegradationConfig deg;
+    deg.enabled = true;
+    deg.maxRetries = 1;
+    deg.pprSpareRows = 4;
+    deg.pprUeThreshold = 1;
+    deg.spareLines = 4;
+    deg.slcFallback = true;
+    return deg;
+}
+
+/** Read disturb and stuck-at faults that defeat BCH t=4 often
+ *  enough to run every ladder stage on both backends. */
+FaultCampaignConfig
+ladderCampaign()
+{
+    FaultCampaignConfig campaign;
+    campaign.stuckPerWrite = 2.0;
+    campaign.disturbFlipsPerRead = 3.0;
+    campaign.seed = 41;
+    return campaign;
+}
+
+/** fullDecode outcomes by the stage that handled them. */
+using StageTally = std::array<
+    std::uint64_t, static_cast<unsigned>(DegradationStage::HostVisible) + 1>;
+
+/**
+ * Hourly full-decode sweeps over every line for `days`, under the
+ * ladder campaign, with per-region telemetry attached; returns the
+ * outcomes the sweeps saw.
+ */
+StageTally
+sweepWithTelemetry(ScrubBackend &backend, RegionTelemetry &telemetry,
+                   double days)
+{
+    FaultInjector injector(ladderCampaign());
+    backend.setFaultInjector(&injector);
+    backend.setTelemetry(&telemetry);
+    StageTally tally{};
+    const Tick horizon = secondsToTicks(days * 86400.0);
+    for (Tick now = kHour; now <= horizon; now += kHour) {
+        for (LineIndex line = 0; line < backend.lineCount(); ++line) {
+            backend.noteVisit(line, now);
+            const FullDecodeOutcome outcome =
+                backend.fullDecode(line, now);
+            ++tally[static_cast<unsigned>(outcome.handledBy)];
+            if (outcome.uncorrectable)
+                backend.repairUncorrectable(line, now);
+        }
+    }
+    backend.setTelemetry(nullptr);
+    backend.setFaultInjector(nullptr);
+    return tally;
+}
+
+/**
+ * Every UE the ladder settles reaches telemetry with the stage that
+ * took it: absorbed ones as ladder escalations, the rest as
+ * host-visible UEs. ScrubMetrics::ueAbsorbed() counts every SLC
+ * demotion, also one after which the line still fails and the UE
+ * surfaces, so it exceeds the absorbed outcomes by exactly those.
+ */
+void
+expectLadderReconciles(const ScrubMetrics &m, const RegionCounters &totals,
+                       const StageTally &tally)
+{
+    const auto count = [&](DegradationStage stage) {
+        return tally[static_cast<unsigned>(stage)];
+    };
+    const std::uint64_t absorbed = count(DegradationStage::Retry) +
+        count(DegradationStage::EcpRepair) +
+        count(DegradationStage::PprRemap) +
+        count(DegradationStage::Retire) +
+        count(DegradationStage::SlcFallback);
+    EXPECT_GT(absorbed, 0u);
+    EXPECT_GT(count(DegradationStage::HostVisible), 0u);
+    EXPECT_EQ(totals.ladderEscalations, absorbed);
+    EXPECT_EQ(totals.uncorrectable, count(DegradationStage::HostVisible));
+    EXPECT_EQ(totals.uncorrectable, m.ueSurfaced);
+    EXPECT_EQ(m.ueRetryResolved, count(DegradationStage::Retry));
+    EXPECT_EQ(m.ueEcpRepaired, count(DegradationStage::EcpRepair));
+    EXPECT_EQ(m.uePprRemapped, count(DegradationStage::PprRemap));
+    EXPECT_EQ(m.ueRetired, count(DegradationStage::Retire));
+    const std::uint64_t failedSlc =
+        m.ueSlcFallbacks - count(DegradationStage::SlcFallback);
+    EXPECT_EQ(m.ueAbsorbed(), absorbed + failedSlc);
+}
+
+TEST(RegionTelemetryIntegration, AnalyticLadderOutcomesReconcile)
+{
+    AnalyticConfig config = driftyConfig();
+    config.ecpEntries = 4;
+    config.degradation = scarceLadder();
+    AnalyticBackend backend(config);
+    RegionTelemetry telemetry(config.lines, 16, backend.shardPlan().count());
+    const StageTally tally = sweepWithTelemetry(backend, telemetry, 3.0);
+    expectLadderReconciles(backend.metrics(), telemetry.totals(), tally);
+}
+
+TEST(RegionTelemetryIntegration, CellLadderOutcomesReconcile)
+{
+    CellBackendConfig config;
+    config.lines = 32;
+    config.scheme = EccScheme::bch(4);
+    config.ecpEntries = 4;
+    config.seed = 3;
+    config.degradation = scarceLadder();
+    CellBackend backend(config);
+    RegionTelemetry telemetry(config.lines, 16, backend.shardPlan().count());
+    const StageTally tally = sweepWithTelemetry(backend, telemetry, 2.0);
+    expectLadderReconciles(backend.metrics(), telemetry.totals(), tally);
 }
 
 // ---------------------------------------------------------------
