@@ -1,19 +1,21 @@
 /**
  * @file
- * Golden-checkpoint regression tests: the cell backend's checkpoint
- * byte stream after a fixed degradation-heavy campaign is compared
- * against a fixture captured when the v5 container (per-shard
- * partitions of the spare pool and the PPR remap table) landed.
- * This proves the refactor (and any later storage change) is
+ * Golden-checkpoint regression tests: each backend's checkpoint byte
+ * stream after a fixed degradation-heavy campaign is compared against
+ * a fixture. The cell fixture was captured when the v5 container
+ * (per-shard partitions of the spare pool and the PPR remap table)
+ * landed; the analytic one before the two backends shared one shard
+ * shell. This proves a refactor (and any later storage change) is
  * byte-compatible — same snapshot layout, same RNG draw order, same
  * floating-point results — not merely "passes its own round-trip".
  *
- * Regenerating the fixture (only when a format change is intended):
+ * Regenerating the fixtures (only when a format change is intended):
  *
  *   PCMSCRUB_REGEN_GOLDEN=1 ./golden_checkpoint_test
  *
- * which rewrites tests/data/golden_checkpoint_v5.bin in the source
- * tree; commit the new fixture together with the format change.
+ * which rewrites tests/data/golden_checkpoint_v5.bin and
+ * tests/data/golden_analytic_checkpoint_v5.bin in the source tree;
+ * commit the new fixtures together with the format change.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +29,8 @@
 
 #include "common/serialize.hh"
 #include "faults/fault_injector.hh"
+#include "mem/region_telemetry.hh"
+#include "scrub/analytic_backend.hh"
 #include "scrub/cell_backend.hh"
 #include "scrub/policy.hh"
 #include "scrub/sweep_scrub.hh"
@@ -36,6 +40,8 @@ namespace {
 
 const char *const kFixturePath =
     PCMSCRUB_GOLDEN_DIR "/golden_checkpoint_v5.bin";
+const char *const kAnalyticFixturePath =
+    PCMSCRUB_GOLDEN_DIR "/golden_analytic_checkpoint_v5.bin";
 
 /**
  * The fixture campaign: every serialized feature is exercised —
@@ -82,6 +88,96 @@ runFixtureCampaign()
 
     BasicScrub policy(secondsToTicks(600.0));
     runScrub(backend, policy, secondsToTicks(4.0 * 3600.0));
+
+    SnapshotSink sink;
+    backend.checkpointSave(sink);
+    return sink.takeBytes();
+}
+
+/**
+ * The analytic fixture run: the ladder with every rung (ECP re-learn,
+ * PPR rows at threshold 1, spares, SLC fallback), demand-read
+ * piggybacking, an injector with stuck, disturb and metadata lanes,
+ * and per-region telemetry, so the snapshot covers line and weak-cell
+ * state, every shard's visit memo, the ladder tables, the injector
+ * streams and the telemetry counters.
+ */
+AnalyticConfig
+analyticFixtureConfig()
+{
+    AnalyticConfig config;
+    config.lines = 96;
+    config.scheme = EccScheme::bch(4);
+    config.seed = 7;
+    config.ecpEntries = 4;
+    config.demandReadPiggyback = true;
+    config.piggybackRewriteThreshold = 2;
+    config.demand.writesPerLinePerSecond = 2e-5;
+    config.demand.readsPerLinePerSecond = 1e-3;
+    config.degradation.enabled = true;
+    config.degradation.maxRetries = 1;
+    config.degradation.spareLines = 4;
+    config.degradation.pprSpareRows = 4;
+    config.degradation.pprUeThreshold = 1;
+    config.degradation.slcFallback = true;
+    return config;
+}
+
+FaultCampaignConfig
+analyticFixtureCampaign()
+{
+    FaultCampaignConfig campaign;
+    campaign.stuckPerWrite = 0.5;
+    campaign.disturbFlipsPerRead = 2.0;
+    campaign.metadataCorruptionProb = 0.05;
+    campaign.seed = 41;
+    return campaign;
+}
+
+/** The analytic backend's attachments, in the fixture's shape. */
+struct AnalyticFixture
+{
+    AnalyticFixture()
+        : backend(analyticFixtureConfig()),
+          injector(analyticFixtureCampaign()),
+          telemetry(backend.lineCount(), 16, backend.shardPlan().count())
+    {
+        backend.setFaultInjector(&injector);
+        backend.setTelemetry(&telemetry);
+    }
+
+    AnalyticBackend backend;
+    FaultInjector injector;
+    RegionTelemetry telemetry;
+};
+
+/**
+ * Run the analytic fixture campaign and return the checkpoint bytes.
+ * An hourly hand-rolled sweep reads each line's metadata, then runs
+ * the light detector, a full decode on a hit, and a margin scan every
+ * sixth hour, so every check-time operation and fault lane is drawn.
+ */
+std::vector<std::uint8_t>
+runAnalyticFixtureCampaign()
+{
+    AnalyticFixture fixture;
+    AnalyticBackend &backend = fixture.backend;
+    const Tick hour = secondsToTicks(3600.0);
+    for (Tick now = hour; now <= 72 * hour; now += hour) {
+        for (LineIndex line = 0; line < backend.lineCount(); ++line) {
+            backend.noteVisit(line, now);
+            backend.lastFullWrite(line, now);
+            if (now % (6 * hour) == 0 && backend.marginScan(line, now) > 2)
+                backend.scrubRewrite(line, now, /*preventive=*/true);
+            if (backend.lightDetectClean(line, now))
+                continue;
+            const FullDecodeOutcome outcome = backend.fullDecode(line, now);
+            if (outcome.uncorrectable)
+                backend.repairUncorrectable(line, now);
+            else if (outcome.errors > 0)
+                backend.scrubRewrite(line, now);
+        }
+    }
 
     SnapshotSink sink;
     backend.checkpointSave(sink);
@@ -169,6 +265,49 @@ TEST(GoldenCheckpoint, LoadSaveRoundTripMatchesFixture)
 
     SnapshotSink sink;
     backend.checkpointSave(sink);
+    EXPECT_EQ(sink.bytes(), golden);
+}
+
+TEST(GoldenAnalyticCheckpoint, FreshRunMatchesFixture)
+{
+    const std::vector<std::uint8_t> fresh = runAnalyticFixtureCampaign();
+    ASSERT_FALSE(fresh.empty());
+
+    if (regenRequested()) {
+        writeFile(kAnalyticFixturePath, fresh);
+        std::printf("regenerated %s (%zu bytes)\n", kAnalyticFixturePath,
+                    fresh.size());
+        return;
+    }
+
+    const std::vector<std::uint8_t> golden =
+        readFile(kAnalyticFixturePath);
+    ASSERT_FALSE(golden.empty())
+        << "missing fixture " << kAnalyticFixturePath
+        << "; run with PCMSCRUB_REGEN_GOLDEN=1 to create it";
+    ASSERT_EQ(fresh.size(), golden.size())
+        << "checkpoint size changed against the golden fixture";
+    EXPECT_EQ(fresh, golden)
+        << "checkpoint bytes diverged from the golden fixture";
+}
+
+TEST(GoldenAnalyticCheckpoint, LoadSaveRoundTripMatchesFixture)
+{
+    if (regenRequested())
+        GTEST_SKIP() << "regen run";
+    const std::vector<std::uint8_t> golden =
+        readFile(kAnalyticFixturePath);
+    ASSERT_FALSE(golden.empty())
+        << "missing fixture " << kAnalyticFixturePath
+        << "; run with PCMSCRUB_REGEN_GOLDEN=1 to create it";
+
+    AnalyticFixture fixture;
+    SnapshotSource source(golden.data(), golden.size(),
+                          "golden-analytic-checkpoint-fixture");
+    fixture.backend.checkpointLoad(source);
+
+    SnapshotSink sink;
+    fixture.backend.checkpointSave(sink);
     EXPECT_EQ(sink.bytes(), golden);
 }
 
