@@ -21,12 +21,9 @@
 #include "ecc/checksum.hh"
 #include "ecc/code.hh"
 #include "ecc/ecp.hh"
-#include "mem/region_telemetry.hh"
 #include "pcm/array.hh"
-#include "pcm/energy.hh"
 #include "pcm/wear.hh"
-#include "scrub/backend.hh"
-#include "scrub/degradation_ladder.hh"
+#include "scrub/sharded_backend.hh"
 
 namespace pcmscrub {
 
@@ -73,19 +70,13 @@ struct CellBackendConfig
 /**
  * ScrubBackend over a CellArray with real encode/decode.
  */
-class CellBackend : public ScrubBackend,
+class CellBackend : public ShardedBackend,
                     private DegradationLadder::Hooks
 {
   public:
     explicit CellBackend(const CellBackendConfig &config);
 
     // ScrubBackend interface ---------------------------------------
-
-    std::uint64_t lineCount() const override;
-    unsigned cellsPerLine() const override;
-    const EccScheme &scheme() const override { return scheme_; }
-    const DriftModel &drift() const override { return drift_; }
-    ShardPlan shardPlan() const override { return plan_; }
 
     Tick lastFullWrite(LineIndex line, Tick now) override;
     bool lightDetectClean(LineIndex line, Tick now) override;
@@ -95,19 +86,6 @@ class CellBackend : public ScrubBackend,
     void scrubRewrite(LineIndex line, Tick now,
                       bool preventive = false) override;
     void repairUncorrectable(LineIndex line, Tick now) override;
-    void noteVisit(LineIndex line, Tick now) override;
-    void setFaultInjector(FaultInjector *injector) override;
-    void setTelemetry(RegionTelemetry *telemetry) override;
-    const SparePool *spares() const override { return &ladder_.spares(); }
-    PprRemapTable *ppr() override { return &ladder_.ppr(); }
-
-    /**
-     * Per-shard metric slices merged in ascending shard order — the
-     * fixed reduction order that makes even the floating-point sums
-     * bit-identical at any thread count.
-     */
-    const ScrubMetrics &metrics() const override;
-    ScrubMetrics &metrics() override;
 
     // Checkpointing -------------------------------------------------
 
@@ -136,9 +114,6 @@ class CellBackend : public ScrubBackend,
     unsigned ecpUsed(LineIndex line) const;
 
   private:
-    /** Charge the array-read energy once per (line, tick) visit. */
-    void chargeArrayRead(LineIndex line, Tick now);
-
     /**
      * Sense the line, charging the array read once per visit. The
      * returned reference aliases the shard's visit buffer and is
@@ -184,61 +159,26 @@ class CellBackend : public ScrubBackend,
     static std::unique_ptr<Code> buildCode(const EccScheme &scheme);
 
     /**
-     * State owned by one shard: its RNG stream, metrics slice, and
-     * the per-visit caches (keyed by (line, tick); they must not be
-     * shared across concurrently-running shards).
+     * One shard's visit cache: the sensed (and possibly fault-
+     * corrupted) word of its current visit. Every gate of one
+     * (line, tick) visit must see the same transient flips, so the
+     * word is buffered rather than re-drawn. Invalidated on reprogram.
      */
-    struct ShardState
+    struct VisitWord
     {
-        Random rng;
-        ScrubMetrics metrics;
-
-        /** Array-read charge dedup (line, tick of last charge). */
-        LineIndex chargedLine = ~LineIndex{0};
-        Tick chargedTick = ~Tick{0};
-
-        /**
-         * Sensed (and possibly fault-corrupted) word of the current
-         * visit: every gate of one (line, tick) visit must see the
-         * same transient flips, so the word is buffered rather than
-         * re-drawn. Invalidated on reprogram.
-         */
-        BitVector buffered;
-        LineIndex bufferedLine = ~LineIndex{0};
-        Tick bufferedTick = ~Tick{0};
+        BitVector word;
+        LineIndex line = ~LineIndex{0};
+        Tick tick = ~Tick{0};
     };
 
-    /** Shard owning a line. */
-    ShardState &shardFor(LineIndex line)
-    {
-        return shards_[plan_.shardOf(line)];
-    }
-
-    /** RNG stream of the shard owning a line. */
-    Random &rngFor(LineIndex line) { return shardFor(line).rng; }
-
-    /** Metrics slice of the shard owning a line. */
-    ScrubMetrics &metricsFor(LineIndex line)
-    {
-        return shardFor(line).metrics;
-    }
-
     CellBackendConfig config_;
-    EccScheme scheme_;
-    DriftModel drift_;
     std::unique_ptr<Code> code_;
     std::unique_ptr<Detector> detector_;
-    EnergyModel energyModel_;
     CellArray array_;
-    ShardPlan plan_;
     std::vector<BitVector> detectWords_;
     std::vector<EcpStore> ecp_; //!< Empty when ECP is off.
-    std::vector<ShardState> shards_;
-    mutable ScrubMetrics merged_; //!< Rebuilt on each metrics() call.
+    std::vector<VisitWord> visits_; //!< One per shard.
     WearModel wear_;
-    DegradationLadder ladder_;
-    FaultInjector *injector_ = nullptr;    //!< Not owned.
-    RegionTelemetry *telemetry_ = nullptr; //!< Not owned.
 };
 
 } // namespace pcmscrub

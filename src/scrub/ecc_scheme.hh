@@ -51,6 +51,9 @@ class EccScheme
      */
     unsigned checkBits() const;
 
+    /** Stored bits of a line: the 512-bit payload plus checkBits(). */
+    unsigned codewordBits() const { return 512 + checkBits(); }
+
     /**
      * Whether `errors` cell errors defeat the scheme. Deterministic
      * for BCH (errors > t); probabilistic for interleaved SECDED
