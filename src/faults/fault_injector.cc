@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/serialize.hh"
@@ -201,9 +202,9 @@ FaultInjector::freezeCells(Line &line, unsigned count,
     // budget) after 32 misses.
     thread_local std::vector<std::uint32_t> healthy;
     healthy.clear();
-    const unsigned cells = line.cellCount();
-    for (unsigned i = 0; i < cells; ++i) {
-        if (!line.cell(i).stuck)
+    const CellConstSpan cells = std::as_const(line).span();
+    for (unsigned i = 0; i < cells.count; ++i) {
+        if (!cells.stuck(i))
             healthy.push_back(i);
     }
     for (unsigned injected = 0; injected < count; ++injected) {
@@ -219,10 +220,8 @@ FaultInjector::freezeCells(Line &line, unsigned count,
         const std::uint32_t victim = healthy[pick];
         healthy[pick] = healthy.back();
         healthy.pop_back();
-        auto cell = line.cell(victim);
-        cell.stuck = 1;
-        cell.stuckLevel = static_cast<std::uint8_t>(
-            l.rng.uniformInt(mlcLevels));
+        line.freezeCell(victim, static_cast<unsigned>(
+                                    l.rng.uniformInt(mlcLevels)));
     }
 }
 

@@ -124,102 +124,4 @@ SparePool::loadState(SnapshotSource &source)
     }
 }
 
-LineMetadataStore::LineMetadataStore(std::uint64_t num_lines,
-                                     std::uint64_t lines_per_region)
-    : linesPerRegion_(lines_per_region),
-      lastWrite_(num_lines, 0),
-      errorCount_(num_lines, 0)
-{
-    PCMSCRUB_ASSERT(num_lines >= 1, "need at least one line");
-    PCMSCRUB_ASSERT(lines_per_region >= 1, "region must hold a line");
-    const std::uint64_t regions =
-        (num_lines + lines_per_region - 1) / lines_per_region;
-    regionOldest_.assign(regions, 0);
-    regionDirty_.assign(regions, false);
-}
-
-std::uint64_t
-LineMetadataStore::regionOf(LineIndex line) const
-{
-    PCMSCRUB_ASSERT(line < lineCount(), "line %llu out of range",
-                    static_cast<unsigned long long>(line));
-    return line / linesPerRegion_;
-}
-
-LineIndex
-LineMetadataStore::regionStart(std::uint64_t region) const
-{
-    PCMSCRUB_ASSERT(region < regionCount(), "region %llu out of range",
-                    static_cast<unsigned long long>(region));
-    return region * linesPerRegion_;
-}
-
-std::uint64_t
-LineMetadataStore::regionSize(std::uint64_t region) const
-{
-    const LineIndex start = regionStart(region);
-    return std::min<std::uint64_t>(linesPerRegion_,
-                                   lineCount() - start);
-}
-
-void
-LineMetadataStore::recordWrite(LineIndex line, Tick now)
-{
-    PCMSCRUB_ASSERT(line < lineCount(), "line %llu out of range",
-                    static_cast<unsigned long long>(line));
-    const std::uint64_t region = regionOf(line);
-    const Tick previous = lastWrite_[line];
-    lastWrite_[line] = std::max(lastWrite_[line], now);
-    // If this line defined the region's oldest tick, the cached
-    // minimum may have advanced; mark for lazy rescan.
-    if (previous == regionOldest_[region])
-        regionDirty_[region] = true;
-}
-
-Tick
-LineMetadataStore::lastWrite(LineIndex line) const
-{
-    PCMSCRUB_ASSERT(line < lineCount(), "line %llu out of range",
-                    static_cast<unsigned long long>(line));
-    return lastWrite_[line];
-}
-
-void
-LineMetadataStore::rescanRegion(std::uint64_t region) const
-{
-    const LineIndex start = regionStart(region);
-    const std::uint64_t size = regionSize(region);
-    Tick oldest = lastWrite_[start];
-    for (std::uint64_t i = 1; i < size; ++i)
-        oldest = std::min(oldest, lastWrite_[start + i]);
-    regionOldest_[region] = oldest;
-    regionDirty_[region] = false;
-}
-
-Tick
-LineMetadataStore::regionOldestWrite(std::uint64_t region) const
-{
-    PCMSCRUB_ASSERT(region < regionCount(), "region %llu out of range",
-                    static_cast<unsigned long long>(region));
-    if (regionDirty_[region])
-        rescanRegion(region);
-    return regionOldest_[region];
-}
-
-void
-LineMetadataStore::recordErrors(LineIndex line, unsigned errors)
-{
-    PCMSCRUB_ASSERT(line < lineCount(), "line %llu out of range",
-                    static_cast<unsigned long long>(line));
-    errorCount_[line] += errors;
-}
-
-std::uint64_t
-LineMetadataStore::errorHistory(LineIndex line) const
-{
-    PCMSCRUB_ASSERT(line < lineCount(), "line %llu out of range",
-                    static_cast<unsigned long long>(line));
-    return errorCount_[line];
-}
-
 } // namespace pcmscrub

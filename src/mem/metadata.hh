@@ -1,10 +1,8 @@
 /**
  * @file
- * Per-line bookkeeping the scrub mechanisms rely on: last-write
- * time (the drift clock the adaptive policy reads) and per-line
- * error history. Grouped into regions so the adaptive policy can be
- * ablated on tracking granularity (per-line tracking is the ideal;
- * coarse regions are what a real controller would afford).
+ * The retirement spare pool: the provisioned spare lines the
+ * degradation ladder's retirement stage remaps failing addresses
+ * onto, split into one partition per shard.
  */
 
 #ifndef PCMSCRUB_MEM_METADATA_HH
@@ -105,70 +103,6 @@ class SparePool
     std::uint64_t capacity_;
     ShardPlan plan_;
     std::vector<Partition> parts_;
-};
-
-/**
- * Write-recency and error-history store.
- */
-class LineMetadataStore
-{
-  public:
-    /**
-     * @param num_lines tracked lines
-     * @param lines_per_region region granularity for the coarse
-     *        queries (must divide nothing in particular; the last
-     *        region may be short)
-     */
-    LineMetadataStore(std::uint64_t num_lines,
-                      std::uint64_t lines_per_region);
-
-    std::uint64_t lineCount() const { return lastWrite_.size(); }
-    std::uint64_t regionCount() const { return regionOldest_.size(); }
-    std::uint64_t linesPerRegion() const { return linesPerRegion_; }
-
-    /** Region containing a line. */
-    std::uint64_t regionOf(LineIndex line) const;
-
-    /** First line of a region. */
-    LineIndex regionStart(std::uint64_t region) const;
-
-    /** Number of lines in a region (last may be short). */
-    std::uint64_t regionSize(std::uint64_t region) const;
-
-    /** Record a (full) write to a line at `now`. */
-    void recordWrite(LineIndex line, Tick now);
-
-    /** Tick of the line's last recorded write. */
-    Tick lastWrite(LineIndex line) const;
-
-    /**
-     * Oldest last-write tick in a region: the conservative drift age
-     * the adaptive policy must assume for the whole region. O(1) --
-     * maintained incrementally with a lazy rescan on overflow.
-     */
-    Tick regionOldestWrite(std::uint64_t region) const;
-
-    /** Record that a scrub check found `errors` errors in a line. */
-    void recordErrors(LineIndex line, unsigned errors);
-
-    /** Cumulative errors ever seen on a line. */
-    std::uint64_t errorHistory(LineIndex line) const;
-
-  private:
-    /** Recompute a region's cached oldest-write tick. */
-    void rescanRegion(std::uint64_t region) const;
-
-    std::uint64_t linesPerRegion_;
-    std::vector<Tick> lastWrite_;
-    std::vector<std::uint32_t> errorCount_;
-
-    /**
-     * Cached oldest write per region; a write can only advance a
-     * line's tick, so the cache is refreshed when the written line
-     * was the region's oldest.
-     */
-    mutable std::vector<Tick> regionOldest_;
-    mutable std::vector<bool> regionDirty_;
 };
 
 } // namespace pcmscrub

@@ -28,13 +28,12 @@
  *     values. No overlay => every cell provably equals the uniform
  *     values, so the compression never changes an observable value.
  *
- * The per-cell API survives as CellRef / CellConstRef proxy bundles:
- * `cell.stuck = 1`, `cell.logR0` reads, and load()/store() of the
- * Cell value struct all keep working; encode/decode happens inside
- * the accessors. Quantization DOES change computed bits vs the f32
- * planes (the determinism contract is re-pinned at this encoding);
- * what stays exact is that every reader — scalar kernel, SIMD
- * kernel, per-cell CellModel call — sees the identical decoded float.
+ * Per-cell access moves whole Cell values (loadCell()/storeCell());
+ * encode/decode happens inside them. Quantization DOES change
+ * computed bits vs the f32 planes (the determinism contract is
+ * re-pinned at this encoding); what stays exact is that every reader
+ * — scalar kernel, SIMD kernel, per-cell CellModel call — sees the
+ * identical decoded float.
  *
  * Thread-safety contract: distinct lines may be mutated concurrently
  * (overlay slots, meta, and plane ranges are per-line); anything
@@ -65,80 +64,6 @@ struct WriteOverlay
 {
     std::vector<std::uint32_t> writes;
     std::vector<Tick> ticks;
-};
-
-// The accessor bodies live below the CellStorage definition (the
-// proxies are declared before the storage is complete).
-#define PCMSCRUB_CELL_FIELD(Storage, Name, Type)                     \
-    struct Name##Proxy                                               \
-    {                                                                \
-        Storage *s;                                                  \
-        std::size_t i;                                               \
-        operator Type() const;                                       \
-        const Name##Proxy &operator=(Type v) const;                  \
-    } Name
-
-#define PCMSCRUB_CELL_FIELD_RO(Storage, Name, Type)                  \
-    struct Name##Proxy                                               \
-    {                                                                \
-        const Storage *s;                                            \
-        std::size_t i;                                               \
-        operator Type() const;                                       \
-    } Name
-
-/**
- * Mutable view of one cell: proxy members encode/decode through the
- * quantized planes, so existing `cell.field = value` call sites keep
- * working. load()/store() move whole Cell values, as before.
- */
-struct CellRef
-{
-    CellRef(CellStorage *storage, std::size_t index)
-        : logR0{storage, index}, nu{storage, index},
-          nuSpeed{storage, index}, enduranceWrites{storage, index},
-          writes{storage, index}, storedLevel{storage, index},
-          stuck{storage, index}, stuckLevel{storage, index},
-          writeTick{storage, index}
-    {
-    }
-
-    PCMSCRUB_CELL_FIELD(CellStorage, logR0, float);
-    PCMSCRUB_CELL_FIELD(CellStorage, nu, float);
-    PCMSCRUB_CELL_FIELD(CellStorage, nuSpeed, float);
-    PCMSCRUB_CELL_FIELD(CellStorage, enduranceWrites, float);
-    PCMSCRUB_CELL_FIELD(CellStorage, writes, std::uint32_t);
-    PCMSCRUB_CELL_FIELD(CellStorage, storedLevel, std::uint8_t);
-    PCMSCRUB_CELL_FIELD(CellStorage, stuck, bool);
-    PCMSCRUB_CELL_FIELD(CellStorage, stuckLevel, std::uint8_t);
-    PCMSCRUB_CELL_FIELD(CellStorage, writeTick, Tick);
-
-    Cell load() const;
-    void store(const Cell &cell) const;
-};
-
-/** Read-only counterpart of CellRef. */
-struct CellConstRef
-{
-    CellConstRef(const CellStorage *storage, std::size_t index)
-        : logR0{storage, index}, nu{storage, index},
-          nuSpeed{storage, index}, enduranceWrites{storage, index},
-          writes{storage, index}, storedLevel{storage, index},
-          stuck{storage, index}, stuckLevel{storage, index},
-          writeTick{storage, index}
-    {
-    }
-
-    PCMSCRUB_CELL_FIELD_RO(CellStorage, logR0, float);
-    PCMSCRUB_CELL_FIELD_RO(CellStorage, nu, float);
-    PCMSCRUB_CELL_FIELD_RO(CellStorage, nuSpeed, float);
-    PCMSCRUB_CELL_FIELD_RO(CellStorage, enduranceWrites, float);
-    PCMSCRUB_CELL_FIELD_RO(CellStorage, writes, std::uint32_t);
-    PCMSCRUB_CELL_FIELD_RO(CellStorage, storedLevel, std::uint8_t);
-    PCMSCRUB_CELL_FIELD_RO(CellStorage, stuck, bool);
-    PCMSCRUB_CELL_FIELD_RO(CellStorage, stuckLevel, std::uint8_t);
-    PCMSCRUB_CELL_FIELD_RO(CellStorage, writeTick, Tick);
-
-    Cell load() const;
 };
 
 /**
@@ -247,26 +172,6 @@ class CellStorage
 
     // ---- per-cell field access (global cell index) ----------------
 
-    float logR0Of(std::size_t i) const
-    {
-        return spec_.decodeLogR0(grayAt(i), logRq_[i]);
-    }
-    void setLogR0(std::size_t i, float v)
-    {
-        logRq_[i] = spec_.encodeLogR0(grayAt(i), v);
-    }
-
-    float nuOf(std::size_t i) const
-    {
-        return nuIdx_[i] == QuantSpec::kStuckNuIdx
-            ? 0.0f
-            : spec_.decodeNu(nuIdx_[i]);
-    }
-    void setNu(std::size_t i, float v)
-    {
-        nuIdx_[i] = spec_.encodeNu(v);
-    }
-
     float nuSpeedOf(std::size_t i) const;
     void setNuSpeed(std::size_t i, float v);
     float enduranceOf(std::size_t i) const;
@@ -291,37 +196,16 @@ class CellStorage
     }
     void setWriteTick(std::size_t i, Tick v);
 
-    std::uint8_t storedLevelOf(std::size_t i) const
-    {
-        return static_cast<std::uint8_t>(
-            grayToLevel(static_cast<std::uint8_t>(grayAt(i))));
-    }
-    void setStoredLevel(std::size_t i, std::uint8_t level)
-    {
-        setGray(i, levelToGray(level));
-    }
-
     bool stuckOf(std::size_t i) const
     {
         return nuIdx_[i] == QuantSpec::kStuckNuIdx;
     }
-    void setStuck(std::size_t i, bool stuck)
-    {
-        if (stuck) {
-            nuIdx_[i] = QuantSpec::kStuckNuIdx;
-        } else if (nuIdx_[i] == QuantSpec::kStuckNuIdx) {
-            nuIdx_[i] = 0; // The pre-freeze nu is not retained.
-        }
-    }
 
-    /** Merged with storedLevel: both live in the gray plane. */
-    std::uint8_t stuckLevelOf(std::size_t i) const
+    /** Freeze cell `i` (stuck-at fault) at `level`. */
+    void freeze(std::size_t i, unsigned level)
     {
-        return storedLevelOf(i);
-    }
-    void setStuckLevel(std::size_t i, std::uint8_t level)
-    {
-        setGray(i, levelToGray(level));
+        nuIdx_[i] = QuantSpec::kStuckNuIdx;
+        setGray(i, levelToGray(static_cast<std::uint8_t>(level)));
     }
 
     unsigned grayAt(std::size_t i) const
@@ -428,12 +312,6 @@ class CellStorage
      * writes/writeTick virtual on overlay-free full writes.
      */
     void storePhysics(std::size_t i, const Cell &cell);
-
-    CellRef ref(std::size_t i) { return CellRef(this, i); }
-    CellConstRef ref(std::size_t i) const
-    {
-        return CellConstRef(this, i);
-    }
 
     /** Copy one cell across storages (modes may differ). */
     void copyCell(const CellStorage &source, std::size_t from,
@@ -573,77 +451,6 @@ class CellStorage
     std::vector<WriteOverlay *> overlayFree_;
     std::mutex overlayPoolMutex_;
 };
-
-#define PCMSCRUB_CELL_FIELD_DEF(Owner, Name, Type, Getter, Setter)   \
-    inline Owner::Name##Proxy::operator Type() const                 \
-    {                                                                \
-        return s->Getter(i);                                         \
-    }                                                                \
-    inline const Owner::Name##Proxy &Owner::Name##Proxy::operator=(  \
-        Type v) const                                                \
-    {                                                                \
-        s->Setter(i, v);                                             \
-        return *this;                                                \
-    }
-
-#define PCMSCRUB_CELL_FIELD_RO_DEF(Owner, Name, Type, Getter)        \
-    inline Owner::Name##Proxy::operator Type() const                 \
-    {                                                                \
-        return s->Getter(i);                                         \
-    }
-
-PCMSCRUB_CELL_FIELD_DEF(CellRef, logR0, float, logR0Of, setLogR0)
-PCMSCRUB_CELL_FIELD_DEF(CellRef, nu, float, nuOf, setNu)
-PCMSCRUB_CELL_FIELD_DEF(CellRef, nuSpeed, float, nuSpeedOf,
-                        setNuSpeed)
-PCMSCRUB_CELL_FIELD_DEF(CellRef, enduranceWrites, float, enduranceOf,
-                        setEndurance)
-PCMSCRUB_CELL_FIELD_DEF(CellRef, writes, std::uint32_t, writesOf,
-                        setWrites)
-PCMSCRUB_CELL_FIELD_DEF(CellRef, storedLevel, std::uint8_t,
-                        storedLevelOf, setStoredLevel)
-PCMSCRUB_CELL_FIELD_DEF(CellRef, stuck, bool, stuckOf, setStuck)
-PCMSCRUB_CELL_FIELD_DEF(CellRef, stuckLevel, std::uint8_t,
-                        stuckLevelOf, setStuckLevel)
-PCMSCRUB_CELL_FIELD_DEF(CellRef, writeTick, Tick, writeTickOf,
-                        setWriteTick)
-
-PCMSCRUB_CELL_FIELD_RO_DEF(CellConstRef, logR0, float, logR0Of)
-PCMSCRUB_CELL_FIELD_RO_DEF(CellConstRef, nu, float, nuOf)
-PCMSCRUB_CELL_FIELD_RO_DEF(CellConstRef, nuSpeed, float, nuSpeedOf)
-PCMSCRUB_CELL_FIELD_RO_DEF(CellConstRef, enduranceWrites, float,
-                           enduranceOf)
-PCMSCRUB_CELL_FIELD_RO_DEF(CellConstRef, writes, std::uint32_t,
-                           writesOf)
-PCMSCRUB_CELL_FIELD_RO_DEF(CellConstRef, storedLevel, std::uint8_t,
-                           storedLevelOf)
-PCMSCRUB_CELL_FIELD_RO_DEF(CellConstRef, stuck, bool, stuckOf)
-PCMSCRUB_CELL_FIELD_RO_DEF(CellConstRef, stuckLevel, std::uint8_t,
-                           stuckLevelOf)
-PCMSCRUB_CELL_FIELD_RO_DEF(CellConstRef, writeTick, Tick, writeTickOf)
-
-#undef PCMSCRUB_CELL_FIELD
-#undef PCMSCRUB_CELL_FIELD_RO
-#undef PCMSCRUB_CELL_FIELD_DEF
-#undef PCMSCRUB_CELL_FIELD_RO_DEF
-
-inline Cell
-CellRef::load() const
-{
-    return logR0.s->loadCell(logR0.i);
-}
-
-inline void
-CellRef::store(const Cell &cell) const
-{
-    logR0.s->storeCell(logR0.i, cell);
-}
-
-inline Cell
-CellConstRef::load() const
-{
-    return logR0.s->loadCell(logR0.i);
-}
 
 inline CellConstSpan
 CellSpan::view() const

@@ -165,11 +165,8 @@ Line::remapStuckToIntended()
     const std::uint64_t *words = active_->intendedWords(activeLine_);
     const std::size_t base = baseCell();
     for (unsigned i = 0; i < count_; ++i) {
-        if (!active_->stuckOf(base + i))
-            continue;
-        active_->setStuckLevel(
-            base + i,
-            static_cast<std::uint8_t>(targetLevel(words, i)));
+        if (active_->stuckOf(base + i))
+            active_->freeze(base + i, targetLevel(words, i));
     }
 }
 

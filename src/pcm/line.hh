@@ -4,9 +4,9 @@
  * rewrite. The Line itself is a thin handle — all cell state, the
  * intended codeword, and the write bookkeeping live in a CellStorage
  * (the array's shared planes for array-backed lines, a line-owned
- * single-line storage for standalone lines and SLC annexes). Per-cell
- * access survives as CellRef proxy views; the hot paths run the
- * batched kernels over plane spans.
+ * single-line storage for standalone lines and SLC annexes). Tests
+ * and fault injection move whole Cell values or freeze single cells;
+ * the hot paths run the batched kernels over plane spans.
  */
 
 #ifndef PCMSCRUB_PCM_LINE_HH
@@ -137,26 +137,26 @@ class Line
         return active_->lineWrites(activeLine_);
     }
 
-    /**
-     * Direct cell access for tests and fault injection: a bundle of
-     * references into the SoA planes. Bind with `auto`; assignments
-     * through the members write the planes directly.
-     */
-    CellRef cell(unsigned index)
-    {
-        boundsCheck(index);
-        return active_->ref(baseCell() + index);
-    }
-
-    CellConstRef cell(unsigned index) const
-    {
-        boundsCheck(index);
-        return static_cast<const CellStorage *>(active_)->ref(
-            baseCell() + index);
-    }
-
     /** Copy of one cell's state (for value-based physics queries). */
-    Cell cellValue(unsigned index) const { return cell(index).load(); }
+    Cell cellValue(unsigned index) const
+    {
+        boundsCheck(index);
+        return active_->loadCell(baseCell() + index);
+    }
+
+    /** Overwrite one cell's whole state (tests that pin physics). */
+    void storeCell(unsigned index, const Cell &cell)
+    {
+        boundsCheck(index);
+        active_->storeCell(baseCell() + index, cell);
+    }
+
+    /** Stuck-at fault: freeze cell `index` at `level` for good. */
+    void freezeCell(unsigned index, unsigned level)
+    {
+        boundsCheck(index);
+        active_->freeze(baseCell() + index, level);
+    }
 
     /** Plane views over this line's cells (kernel input). */
     CellSpan span() { return active_->span(activeLine_, count_); }

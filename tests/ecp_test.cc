@@ -90,9 +90,8 @@ TEST(EcpCellBackend, StuckCellsPatchedOnRead)
     // Freeze three cells of line 0 at hostile levels.
     Line &line = backend.array().line(0);
     for (unsigned i = 0; i < 3; ++i) {
-        const auto cell = line.cell(10 + i);
-        cell.stuck = true;
-        cell.stuckLevel = (cell.storedLevel + 2) % mlcLevels;
+        const unsigned c = 10 + i;
+        line.freezeCell(c, (line.cellValue(c).storedLevel + 2) % mlcLevels);
     }
     // Re-program so write-verify discovers the stuck cells.
     backend.demandWrite(0, secondsToTicks(1.0));
@@ -113,9 +112,7 @@ TEST(EcpCellBackend, ExhaustedStoreLeavesResidualErrors)
     Line &line = backend.array().line(0);
     unsigned frozen = 0;
     for (unsigned i = 0; i < line.cellCount() && frozen < 6; ++i) {
-        const auto cell = line.cell(i);
-        cell.stuck = true;
-        cell.stuckLevel = (cell.storedLevel + 2) % mlcLevels;
+        line.freezeCell(i, (line.cellValue(i).storedLevel + 2) % mlcLevels);
         ++frozen;
     }
     backend.demandWrite(0, secondsToTicks(1.0));
@@ -134,9 +131,9 @@ TEST(EcpCellBackend, WithoutEcpSameFaultsStayVisible)
         CellBackend backend(config);
         Line &line = backend.array().line(0);
         for (unsigned i = 0; i < 4; ++i) {
-            const auto cell = line.cell(20 + i);
-            cell.stuck = true;
-            cell.stuckLevel = (cell.storedLevel + 2) % mlcLevels;
+            const unsigned c = 20 + i;
+            line.freezeCell(
+                c, (line.cellValue(c).storedLevel + 2) % mlcLevels);
         }
         backend.demandWrite(0, secondsToTicks(1.0));
         const unsigned errors =

@@ -65,12 +65,17 @@ TEST_F(LineTest, DriftCreatesSingleBitErrorsUnderGrayCoding)
     // Freeze every cell's drift, then force exactly one cell across
     // its threshold — the single-bit expectation must not depend on
     // whether some naturally fast cell also crosses by `later`.
-    for (unsigned i = 0; i < line.cellCount(); ++i)
-        line.cell(i).nu = 0.0f;
     for (unsigned i = 0; i < line.cellCount(); ++i) {
-        if (line.cell(i).storedLevel == 2) {
-            line.cell(i).logR0 = 5.4f;
-            line.cell(i).nu = 0.1f;
+        Cell cell = line.cellValue(i);
+        cell.nu = 0.0f;
+        line.storeCell(i, cell);
+    }
+    for (unsigned i = 0; i < line.cellCount(); ++i) {
+        Cell cell = line.cellValue(i);
+        if (cell.storedLevel == 2) {
+            cell.logR0 = 5.4f;
+            cell.nu = 0.1f;
+            line.storeCell(i, cell);
             break;
         }
     }
@@ -88,7 +93,7 @@ TEST_F(LineTest, FullRewriteResetsEveryDriftClock)
     const Tick mid = secondsToTicks(1000.0);
     line.writeCodeword(word, mid, model_, rng_, /*differential=*/false);
     for (unsigned i = 0; i < line.cellCount(); ++i)
-        EXPECT_EQ(line.cell(i).writeTick, mid) << "cell " << i;
+        EXPECT_EQ(line.cellValue(i).writeTick, mid) << "cell " << i;
     EXPECT_EQ(line.lastWriteTick(), mid);
 }
 
@@ -107,7 +112,7 @@ TEST_F(LineTest, DifferentialRewriteSkipsMatchingCells)
                            /*differential=*/true);
     EXPECT_EQ(stats.cellsProgrammed, 0u);
     for (unsigned i = 0; i < line.cellCount(); ++i)
-        EXPECT_EQ(line.cell(i).writeTick, 0u) << "cell " << i;
+        EXPECT_EQ(line.cellValue(i).writeTick, 0u) << "cell " << i;
 }
 
 TEST_F(LineTest, DifferentialRewriteReprogramsDriftedCells)
@@ -120,9 +125,11 @@ TEST_F(LineTest, DifferentialRewriteReprogramsDriftedCells)
     // Drift one cell out of its band.
     unsigned victim = 0;
     for (unsigned i = 0; i < line.cellCount(); ++i) {
-        if (line.cell(i).storedLevel == 2) {
-            line.cell(i).logR0 = 5.45f;
-            line.cell(i).nu = 0.1f;
+        Cell cell = line.cellValue(i);
+        if (cell.storedLevel == 2) {
+            cell.logR0 = 5.45f;
+            cell.nu = 0.1f;
+            line.storeCell(i, cell);
             victim = i;
             break;
         }
@@ -133,7 +140,7 @@ TEST_F(LineTest, DifferentialRewriteReprogramsDriftedCells)
         line.writeCodeword(word, later, model_, rng_,
                            /*differential=*/true);
     EXPECT_GE(stats.cellsProgrammed, 1u);
-    EXPECT_EQ(line.cell(victim).writeTick, later);
+    EXPECT_EQ(line.cellValue(victim).writeTick, later);
     EXPECT_EQ(line.trueBitErrors(later, model_), 0u);
 }
 
@@ -162,9 +169,7 @@ TEST_F(LineTest, StuckCellProducesPersistentErrors)
     word.randomize(rng_);
     line.writeCodeword(word, 0, model_, rng_);
     // Freeze one cell at a level that conflicts with new data.
-    line.cell(0).stuck = true;
-    line.cell(0).stuckLevel =
-        (line.cell(0).storedLevel + 2) % mlcLevels;
+    line.freezeCell(0, (line.cellValue(0).storedLevel + 2) % mlcLevels);
     EXPECT_EQ(line.stuckCellCount(), 1u);
     EXPECT_GE(line.trueBitErrors(0, model_), 1u);
     // Rewriting cannot fix a stuck cell.
@@ -182,9 +187,11 @@ TEST_F(LineTest, MarginScanCountsBandedCells)
     // Park three cells inside their guard band.
     unsigned placed = 0;
     for (unsigned i = 0; i < line.cellCount() && placed < 3; ++i) {
-        if (line.cell(i).storedLevel == 1) {
-            line.cell(i).logR0 = 4.4f; // Band [4.35, 4.5).
-            line.cell(i).nu = 0.0f;
+        Cell cell = line.cellValue(i);
+        if (cell.storedLevel == 1) {
+            cell.logR0 = 4.4f; // Band [4.35, 4.5).
+            cell.nu = 0.0f;
+            line.storeCell(i, cell);
             ++placed;
         }
     }

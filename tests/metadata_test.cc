@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the per-line metadata store and the per-shard
- * partitions of the repair resources (spare pool, PPR rows).
+ * Tests for the per-shard partitions of the repair resources
+ * (spare pool, PPR rows).
  */
 
 #include <utility>
@@ -15,80 +15,6 @@
 
 namespace pcmscrub {
 namespace {
-
-TEST(Metadata, GeometryOfRegions)
-{
-    const LineMetadataStore store(100, 32);
-    EXPECT_EQ(store.lineCount(), 100u);
-    EXPECT_EQ(store.regionCount(), 4u);
-    EXPECT_EQ(store.regionSize(0), 32u);
-    EXPECT_EQ(store.regionSize(3), 4u); // Short tail region.
-    EXPECT_EQ(store.regionOf(31), 0u);
-    EXPECT_EQ(store.regionOf(32), 1u);
-    EXPECT_EQ(store.regionStart(2), 64u);
-}
-
-TEST(Metadata, WritesAdvanceLastWrite)
-{
-    LineMetadataStore store(10, 5);
-    EXPECT_EQ(store.lastWrite(3), 0u);
-    store.recordWrite(3, 100);
-    EXPECT_EQ(store.lastWrite(3), 100u);
-    store.recordWrite(3, 50); // Stale writes never move time back.
-    EXPECT_EQ(store.lastWrite(3), 100u);
-    store.recordWrite(3, 200);
-    EXPECT_EQ(store.lastWrite(3), 200u);
-}
-
-TEST(Metadata, RegionOldestTracksMinimum)
-{
-    LineMetadataStore store(8, 4);
-    EXPECT_EQ(store.regionOldestWrite(0), 0u);
-    // Write three of the four lines in region 0.
-    store.recordWrite(0, 100);
-    store.recordWrite(1, 200);
-    store.recordWrite(2, 300);
-    EXPECT_EQ(store.regionOldestWrite(0), 0u); // Line 3 never written.
-    store.recordWrite(3, 150);
-    EXPECT_EQ(store.regionOldestWrite(0), 100u);
-    // Advancing the oldest line moves the minimum to the next one.
-    store.recordWrite(0, 400);
-    EXPECT_EQ(store.regionOldestWrite(0), 150u);
-    // Region 1 is untouched.
-    EXPECT_EQ(store.regionOldestWrite(1), 0u);
-}
-
-TEST(Metadata, RegionOldestWithInterleavedQueries)
-{
-    LineMetadataStore store(4, 4);
-    store.recordWrite(0, 10);
-    store.recordWrite(1, 20);
-    store.recordWrite(2, 30);
-    store.recordWrite(3, 40);
-    EXPECT_EQ(store.regionOldestWrite(0), 10u);
-    store.recordWrite(0, 50);
-    EXPECT_EQ(store.regionOldestWrite(0), 20u);
-    store.recordWrite(1, 60);
-    EXPECT_EQ(store.regionOldestWrite(0), 30u);
-}
-
-TEST(Metadata, ErrorHistoryAccumulates)
-{
-    LineMetadataStore store(5, 5);
-    EXPECT_EQ(store.errorHistory(2), 0u);
-    store.recordErrors(2, 3);
-    store.recordErrors(2, 1);
-    EXPECT_EQ(store.errorHistory(2), 4u);
-    EXPECT_EQ(store.errorHistory(1), 0u);
-}
-
-TEST(MetadataDeath, OutOfRangeAccessPanics)
-{
-    LineMetadataStore store(4, 2);
-    EXPECT_DEATH(store.recordWrite(4, 1), "out of range");
-    EXPECT_DEATH(store.lastWrite(10), "out of range");
-    EXPECT_DEATH(store.regionOldestWrite(2), "out of range");
-}
 
 // ---------------------------------------------------------------
 // Repair resources: one partition per shard.

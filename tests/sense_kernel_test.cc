@@ -89,7 +89,7 @@ referenceProgram(Line &line, const BitVector &codeword, Tick now,
             continue;
         const ProgramOutcome outcome =
             model.program(cell, level, now, rng);
-        line.cell(i).store(cell);
+        line.storeCell(i, cell);
         if (outcome.iterations > 0) {
             ++stats.cellsProgrammed;
             stats.totalIterations += outcome.iterations;
@@ -132,10 +132,8 @@ makeLine(const CellModel &model, std::uint64_t seed, bool slc,
     for (unsigned i = 0; i < line.cellCount(); ++i) {
         if (!rng.bernoulli(stuckFraction))
             continue;
-        const auto cell = line.cell(i);
-        cell.stuck = 1;
-        cell.stuckLevel = static_cast<std::uint8_t>(
-            rng.uniformInt(mlcLevels));
+        line.freezeCell(i, static_cast<unsigned>(
+                               rng.uniformInt(mlcLevels)));
     }
     BitVector word(kCodewordBits);
     word.randomize(rng);
