@@ -105,8 +105,10 @@ RasControlPlane::requestPprRemap(LineIndex line, Tick now)
                   ppr->partitionCapacity(line)),
               static_cast<unsigned long long>(ppr->capacity()));
     }
-    // The fuse swapped in fresh silicon; reload the line's data so
-    // the simulation reflects the repaired row.
+    // Only the remap table records the fuse: the line is reloaded
+    // through repairUncorrectable, which keeps its cells (stuck cells
+    // stay stuck, the analytic weak-cell tail is not re-drawn). The
+    // ladder's PPR rung instead moves the line onto fresh silicon.
     backend_.repairUncorrectable(line, now);
 }
 

@@ -69,12 +69,15 @@ class RasControlPlane
     // Repair --------------------------------------------------------
 
     /**
-     * Operator-requested PPR: fuse `line` over to a spare row now,
-     * without waiting for the chronic tracker, and reload its data.
-     * fatal() on an out-of-range line, a backend without provisioned
-     * PPR rows, a line already remapped or retired, or an exhausted
-     * partition: the line's shard has no row left (see
-     * PprRemapTable), even if other shards still have some.
+     * Operator-requested PPR: consume a spare row for `line` now,
+     * without waiting for the chronic tracker, and reload its data
+     * through ScrubBackend::repairUncorrectable. Unlike the ladder's
+     * PPR rung, this does not move the line onto fresh silicon: its
+     * stuck cells and (analytic) drift tail stay. fatal() on an
+     * out-of-range line, a backend without provisioned PPR rows, a
+     * line already remapped or retired, or an exhausted partition:
+     * the line's shard has no row left (see PprRemapTable), even if
+     * other shards still have some.
      */
     void requestPprRemap(LineIndex line, Tick now);
 

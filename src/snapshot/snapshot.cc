@@ -373,7 +373,8 @@ rotateSnapshot(const std::string &path)
     if (::access(path.c_str(), F_OK) != 0)
         return;
     const std::string previous = path + ".1";
-    if (std::rename(path.c_str(), previous.c_str()) != 0) {
+    if ((::unlink(previous.c_str()) != 0 && errno != ENOENT) ||
+        ::link(path.c_str(), previous.c_str()) != 0) {
         fatal("snapshot %s: rotation to %s failed: %s", path.c_str(),
               previous.c_str(), std::strerror(errno));
     }

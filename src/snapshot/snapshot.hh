@@ -174,9 +174,12 @@ class SnapshotReader
 };
 
 /**
- * Rotate `path` to `path + ".1"` (replacing any previous rotation) so
- * one older snapshot generation survives the next write. A missing
- * `path` is a no-op; a failing rename is fatal().
+ * Keep `path` as `path + ".1"` (replacing any previous rotation) so
+ * one older snapshot generation survives the next write. `path` is
+ * hard-linked, not renamed, so it stays in place until that write
+ * renames the new snapshot over it: a kill at any moment leaves a
+ * complete snapshot under `path`. A missing `path` is a no-op; a
+ * failing unlink or link is fatal().
  */
 void rotateSnapshot(const std::string &path);
 

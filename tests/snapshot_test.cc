@@ -534,7 +534,9 @@ TEST(SnapshotFallbackTest, RotateKeepsOnePreviousGeneration)
 
     writeSampleCheckpoint(path, 5);
     rotateSnapshot(path);
-    EXPECT_FALSE(fileExists(path));
+    // The newest generation stays in place until the next write
+    // replaces it, so a kill between rotation and write loses nothing.
+    EXPECT_TRUE(fileExists(path));
     EXPECT_TRUE(fileExists(path + ".1"));
 
     writeSampleCheckpoint(path, 5);
