@@ -65,7 +65,7 @@ main(int argc, char **argv)
                  "p_ue@1day", "p_ue@1week", "interval@1e-7"});
     for (const auto &scheme : schemes) {
         const unsigned cells =
-            (512 + scheme.checkBits() + 1) / bitsPerCell;
+            (scheme.codewordBits() + bitsPerCell - 1) / bitsPerCell;
         table.row()
             .cell(scheme.name())
             .cell(scheme.checkBits());
