@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.hh"
 #include "common/math.hh"
@@ -34,7 +35,8 @@ AnalyticBackend::AnalyticBackend(const AnalyticConfig &config)
       refreshPj_(energy_.lineWrite(static_cast<std::uint64_t>(std::llround(
           cellsPerLine_ * averageIterationsPerCell(config.device))))),
       lines_(config.lines),
-      transients_(plan_.count())
+      transients_(plan_.count()),
+      weakMemos_(plan_.count())
 {
     PCMSCRUB_ASSERT(config.lines >= 1, "backend needs lines");
     PCMSCRUB_ASSERT(config.weakCellsTracked < cellsPerLine_,
@@ -45,13 +47,22 @@ AnalyticBackend::AnalyticBackend(const AnalyticConfig &config)
                              config.detectorParity, bitsPerCell);
 
     const unsigned k = config_.weakCellsTracked;
-    bulkQuantile_ = 1.0 -
+    const double bulkQuantile = 1.0 -
         static_cast<double>(k) / static_cast<double>(cellsPerLine_);
 
     // Build the drift model's lookup tables here, from serial code:
     // parallel wakes only read them.
     drift_.prewarm();
-    drift_.prewarmBulk(bulkQuantile_);
+    drift_.prewarmBulk(bulkQuantile);
+    bulkTable_ = &drift_.bulkTable(bulkQuantile);
+    const unsigned t = scheme_.guaranteedT();
+    for (unsigned stuck = 0; stuck <= t; ++stuck) {
+        crossAges_.push_back(drift_.timeToExpectedErrors(
+            cellsPerLine_, static_cast<double>(t + 1) -
+                static_cast<double>(stuck)));
+    }
+    for (WeakCellMemo &memo : weakMemos_)
+        memo.crossProb.resize(k);
 
     weakCells_.resize(config.lines * k);
     for (std::uint64_t line = 0; line < config.lines; ++line)
@@ -65,6 +76,7 @@ AnalyticBackend::sampleWeakSpeeds(LineIndex line)
     // order statistics: the j-th largest of n uniforms is the
     // previous one scaled by U^(1/(n-j)).
     const unsigned k = config_.weakCellsTracked;
+    forgetWeakCells(line);
     Random &rng = rngFor(line);
     double topUniform = 1.0;
     for (unsigned j = 0; j < k; ++j) {
@@ -102,6 +114,7 @@ void
 AnalyticBackend::resetWeakCells(LineIndex line, bool new_data)
 {
     const unsigned k = config_.weakCellsTracked;
+    forgetWeakCells(line);
     Random &rng = rngFor(line);
     for (unsigned j = 0; j < k; ++j) {
         WeakCell &cell = weakCells_[line * k + j];
@@ -190,13 +203,8 @@ AnalyticBackend::chargeDemandExposure(LineIndex line,
     // ECC limit. The crossing age is estimated from the population
     // mean: the age at which drift alone supplies the errors the
     // stuck cells had not already used up.
-    const unsigned t = scheme_.guaranteedT();
-    double crossAge = 0.0;
-    if (state.stuckErrors <= t) {
-        const double need = static_cast<double>(t + 1) -
-            static_cast<double>(state.stuckErrors);
-        crossAge = drift_.timeToExpectedErrors(cellsPerLine_, need);
-    }
+    const double crossAge = state.stuckErrors < crossAges_.size()
+        ? crossAges_[state.stuckErrors] : 0.0;
     const double badSeconds = std::max(0.0, age_seconds - crossAge);
     metricsFor(line).demandUncorrectable +=
         demand_.readRate(line) * badSeconds;
@@ -299,10 +307,21 @@ AnalyticBackend::growDrift(LineIndex line, Tick now)
     // the single mid-range threshold on any simulated horizon.
     if (state.slc)
         return;
-    const double age = ageSeconds(state, now);
+    const unsigned k = config_.weakCellsTracked;
+    WeakCellMemo &memo = weakMemos_[plan_.shardOf(line)];
+    if (memo.line != line || memo.lastWrite != state.lastWrite ||
+        memo.now != now) {
+        memo.line = line;
+        memo.lastWrite = state.lastWrite;
+        memo.now = now;
+        memo.logAge = drift_.logAge(ageSeconds(state, now));
+        std::fill(memo.crossProb.begin(), memo.crossProb.end(),
+                  std::numeric_limits<double>::quiet_NaN());
+    }
+    const double u = memo.logAge;
 
     // Bulk population (speeds below the tracked-tail quantile).
-    const double p2 = drift_.bulkCellErrorProb(age, bulkQuantile_);
+    const double p2 = DriftModel::interpolateAtLogAge(*bulkTable_, u);
     if (p2 > state.pSampled) {
         const unsigned bulkCells =
             cellsPerLine_ - config_.weakCellsTracked;
@@ -317,15 +336,18 @@ AnalyticBackend::growDrift(LineIndex line, Tick now)
         state.pSampled = p2;
     }
 
-    // Individually-tracked fast drifters, all at one log-age.
-    const double u = drift_.logAge(age);
-    const unsigned k = config_.weakCellsTracked;
+    // Individually-tracked fast drifters, all at one log-age. A
+    // repeat at this instant still draws: qSampled is a float, so it
+    // can sit just under q2.
     for (unsigned j = 0; j < k; ++j) {
         WeakCell &cell = weakCells_[line * k + j];
         if (cell.crossed)
             continue;
-        const double q2 = drift_.levelErrorProbAtLogAge(
-            cell.level, u, static_cast<double>(cell.speed));
+        double &q2 = memo.crossProb[j];
+        if (std::isnan(q2)) {
+            q2 = drift_.levelErrorProbAtLogAge(
+                cell.level, u, static_cast<double>(cell.speed));
+        }
         const double q1 = static_cast<double>(cell.qSampled);
         if (q2 <= q1)
             continue;
@@ -634,6 +656,9 @@ AnalyticBackend::checkpointSave(SnapshotSink &sink) const
 void
 AnalyticBackend::checkpointLoad(SnapshotSource &source)
 {
+    // The weak-cell memos describe the state being replaced.
+    for (WeakCellMemo &memo : weakMemos_)
+        memo.line = ~LineIndex{0};
     if (source.u64() != lines_.size())
         source.corrupt("line count does not match the config");
     const unsigned bulkCells = cellsPerLine_;

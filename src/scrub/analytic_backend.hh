@@ -251,15 +251,43 @@ class AnalyticBackend : public ShardedBackend,
         unsigned flips = 0;
     };
 
+    /**
+     * One shard's weak-cell memo: the log-age and the weak cells'
+     * crossing probabilities of its last growDrift(line, now) at the
+     * line's current write, so a repeat at the same instant (light
+     * detect, full decode and rewrite of one visit) skips the erfc.
+     * NaN marks a cell not evaluated yet. Derived state: it is never
+     * saved, and anything that changes a line's weak cells, or a
+     * checkpoint load, clears it.
+     */
+    struct WeakCellMemo
+    {
+        LineIndex line = ~LineIndex{0};
+        Tick lastWrite = 0;
+        Tick now = 0;
+        double logAge = 0.0;
+        std::vector<double> crossProb; //!< One per tracked weak cell.
+    };
+
+    /** Clear the weak-cell memo of `line`'s shard. */
+    void forgetWeakCells(LineIndex line)
+    {
+        weakMemos_[plan_.shardOf(line)].line = ~LineIndex{0};
+    }
+
     AnalyticConfig config_;
     WearModel wear_;
     DemandModel demand_;
     std::unique_ptr<Detector> detector_;
     double refreshPj_; //!< Full-line write of uniformly random data.
-    double bulkQuantile_;
+    /** Drift table of the bulk: speeds below the weak cells' quantile. */
+    const DriftModel::AgeTable *bulkTable_;
+    /** Exposure crossing age by stuck errors 0..t (population mean). */
+    std::vector<double> crossAges_;
     std::vector<LineState> lines_;
     std::vector<WeakCell> weakCells_; //!< lines x weakCellsTracked.
     std::vector<TransientMemo> transients_; //!< One per shard.
+    std::vector<WeakCellMemo> weakMemos_;   //!< One per shard.
 };
 
 } // namespace pcmscrub

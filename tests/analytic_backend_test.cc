@@ -4,10 +4,14 @@
  */
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/serialize.hh"
 #include "common/stats.hh"
+#include "faults/fault_injector.hh"
 #include "scrub/analytic_backend.hh"
 
 namespace pcmscrub {
@@ -270,6 +274,110 @@ TEST(AnalyticBackend, PiggybackRespectsThreshold)
     for (LineIndex line = 0; line < 200; ++line)
         backend.trueErrors(line, secondsToTicks(5e5));
     EXPECT_EQ(backend.metrics().piggybackRewrites, 0u);
+}
+
+std::vector<std::uint8_t>
+snapshot(const AnalyticBackend &backend)
+{
+    SnapshotSink sink;
+    backend.checkpointSave(sink);
+    return sink.takeBytes();
+}
+
+void
+restore(AnalyticBackend &backend, const std::vector<std::uint8_t> &bytes)
+{
+    SnapshotSource source(bytes.data(), bytes.size(), "test snapshot");
+    backend.checkpointLoad(source);
+    source.finish();
+}
+
+/** Grow every line's drift at `now`, first line to last. */
+void
+visitAll(AnalyticBackend &backend, Tick now)
+{
+    for (LineIndex line = 0; line < backend.lineCount(); ++line)
+        backend.trueErrors(line, now);
+}
+
+/**
+ * The weak-cell memo is derived state: a backend that already holds
+ * memos (a different seed, so different weak cells, visited at the
+ * very instant the restored run visits next) continues from a loaded
+ * checkpoint exactly as the run that saved it and as a fresh backend.
+ */
+TEST(AnalyticBackend, CheckpointLoadClearsWeakCellMemo)
+{
+    AnalyticConfig config = quietConfig(16);
+    config.shards = 1;
+    const Tick hour = secondsToTicks(3600.0);
+    const auto continueRun = [&](AnalyticBackend &backend) {
+        visitAll(backend, 2 * hour);
+        visitAll(backend, 30 * hour);
+        return snapshot(backend);
+    };
+
+    AnalyticBackend saved(config);
+    visitAll(saved, hour);
+    const std::vector<std::uint8_t> checkpoint = snapshot(saved);
+    const std::vector<std::uint8_t> want = continueRun(saved);
+
+    AnalyticConfig otherSeed = config;
+    otherSeed.seed = config.seed + 1;
+    AnalyticBackend used(otherSeed);
+    // Last to visit: line 0 at 2 h, the restored run's first visit.
+    for (LineIndex line = used.lineCount(); line-- > 0;)
+        used.trueErrors(line, 2 * hour);
+    restore(used, checkpoint);
+    EXPECT_EQ(continueRun(used), want);
+
+    AnalyticBackend fresh(config);
+    restore(fresh, checkpoint);
+    EXPECT_EQ(continueRun(fresh), want);
+}
+
+/**
+ * A ladder PPR remap (moveToFreshRow: new weak cells) at the tick a
+ * visit already grew the line's drift: the run continues exactly as a
+ * fresh backend restored right after the remap.
+ */
+TEST(AnalyticBackend, FreshRowAtVisitTickMatchesRestoredRun)
+{
+    AnalyticConfig config = quietConfig(4, EccScheme::bch(4));
+    config.shards = 1;
+    config.degradation.enabled = true;
+    config.degradation.maxRetries = 0;
+    config.degradation.ecpRepair = false;
+    config.degradation.pprSpareRows = 4;
+    config.degradation.pprUeThreshold = 1;
+    FaultCampaignConfig lethal;
+    lethal.disturbFlipsPerRead = 20.0; // Far beyond BCH t=4.
+    lethal.seed = 5;
+    FaultInjector injector(lethal);
+
+    const Tick visit = secondsToTicks(86400.0);
+    AnalyticBackend remapped(config);
+    remapped.setFaultInjector(&injector);
+    ASSERT_EQ(remapped.fullDecode(0, visit).handledBy,
+              DegradationStage::PprRemap);
+    remapped.setFaultInjector(nullptr);
+    const std::vector<std::uint8_t> checkpoint = snapshot(remapped);
+
+    const auto continueRun = [&](AnalyticBackend &backend) {
+        backend.lightDetectClean(0, visit);
+        backend.fullDecode(0, visit);
+        for (const double days : {1.5, 3.0, 9.0}) {
+            const Tick now = secondsToTicks(86400.0 * days);
+            visitAll(backend, now);
+            backend.fullDecode(0, now);
+        }
+        return snapshot(backend);
+    };
+    const std::vector<std::uint8_t> want = continueRun(remapped);
+
+    AnalyticBackend fresh(config);
+    restore(fresh, checkpoint);
+    EXPECT_EQ(continueRun(fresh), want);
 }
 
 } // namespace

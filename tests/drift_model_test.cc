@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -448,56 +449,134 @@ constexpr LineShape kBch8Line{296, 8};
 constexpr LineShape kSecdedLine{288, 1};
 constexpr double kOracleTargets[] = {1e-12, 1e-9, 1e-7, 1e-5, 1e-3};
 
+/** The plain conditional search: the binomial tail at every step. */
+double
+referenceConditionalHorizon(const DriftModel &model, LineShape line,
+                            unsigned errors, double age, double p_ue)
+{
+    const double quantile =
+        1.0 - static_cast<double>(errors) / line.cells;
+    const unsigned healthy = line.cells - errors;
+    const unsigned budget = line.eccT - errors;
+    const double logChooseNext = logChoose(healthy, budget + 1);
+    const double p1 = model.bulkCellErrorProb(age, quantile);
+    const double horizon = referenceBisectAge(
+        [&](double t) {
+            const double p2 = model.bulkCellErrorProb(t, quantile);
+            if (p2 <= p1)
+                return 0.0;
+            const double growth = (p2 - p1) / (1.0 - p1);
+            return binomialTailAbove(healthy, growth, budget,
+                                     logChooseNext);
+        },
+        p_ue);
+    return horizon > age ? horizon - age : 0.0;
+}
+
 /**
- * The gated conditional search against an ungated bisection that
- * evaluates the binomial tail at every step, for every error count
- * up to the budget, at ages on a x1.5 grid from 1 s to a year and
- * ages that land exactly on table grid nodes.
+ * Ages the conditional oracle searches from: 10k log-uniform ages in
+ * [1 s, 1e11 s], a x1.5 grid from 1 s to a year, every table grid
+ * node and the doubles one ulp either side of it, and ages past the
+ * table's end.
+ */
+std::vector<double>
+conditionalOracleAges(const DeviceConfig &config)
+{
+    std::vector<double> ages;
+    Random rng(20121);
+    for (int i = 0; i < 10000; ++i)
+        ages.push_back(std::pow(10.0, 11.0 * rng.uniform()));
+    for (double age = 1.0; age <= 3.156e7; age *= 1.5)
+        ages.push_back(age);
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    for (unsigned i = 0; i < kTableSize; ++i) {
+        const double node = config.driftT0Seconds *
+            std::pow(10.0, static_cast<double>(i) * kLogAgeStep);
+        ages.push_back(node);
+        ages.push_back(std::nextafter(node, 0.0));
+        ages.push_back(std::nextafter(node, inf));
+    }
+    for (const double past : {1.0001, 3.0, 1e3})
+        ages.push_back(config.driftT0Seconds * 1e11 * past);
+    return ages;
+}
+
+/**
+ * The banded, gated conditional search against an ungated bisection
+ * that evaluates the binomial tail at every step, for every error
+ * count up to the budget and every target. Every search of these
+ * shapes gets a verified band (none falls back), so the band is what
+ * is tested.
  */
 TEST(DriftModelOracle, ConditionalHorizonBitIdenticalToPlainBisection)
 {
     const DeviceConfig config;
     const DriftModel model{config};
-    std::vector<double> ages;
-    for (double age = 1.0; age <= 3.156e7; age *= 1.5)
-        ages.push_back(age);
-    for (unsigned i = 0; i < kTableSize; i += 97) {
-        ages.push_back(config.driftT0Seconds *
-                       std::pow(10.0, static_cast<double>(i) * kLogAgeStep));
-    }
+    const std::vector<double> ages = conditionalOracleAges(config);
     for (const LineShape line : {kBch8Line, kSecdedLine}) {
         for (unsigned errors = 0; errors <= line.eccT; ++errors) {
-            const double quantile =
-                1.0 - static_cast<double>(errors) / line.cells;
-            const unsigned healthy = line.cells - errors;
-            const unsigned budget = line.eccT - errors;
             for (const double pUe : kOracleTargets) {
                 model.prewarmConditional(line.cells, line.eccT, errors,
                                          pUe);
+                unsigned mismatches = 0;
+                unsigned unverified = 0;
                 for (const double age : ages) {
-                    const double p1 =
-                        model.bulkCellErrorProb(age, quantile);
-                    const double horizon = referenceBisectAge(
-                        [&](double t) {
-                            const double p2 =
-                                model.bulkCellErrorProb(t, quantile);
-                            if (p2 <= p1)
-                                return 0.0;
-                            const double growth =
-                                (p2 - p1) / (1.0 - p1);
-                            return binomialTailAbove(healthy, growth,
-                                                     budget);
-                        },
-                        pUe);
-                    const double want =
-                        horizon > age ? horizon - age : 0.0;
-                    EXPECT_EQ(bits(model.timeToConditionalUncorrectable(
-                                  line.cells, line.eccT, errors, age,
-                                  pUe)),
-                              bits(want))
-                        << "cells=" << line.cells << " errors=" << errors
-                        << " age=" << age << " p_ue=" << pUe;
+                    const double want = referenceConditionalHorizon(
+                        model, line, errors, age, pUe);
+                    const double got =
+                        model.timeToConditionalUncorrectable(
+                            line.cells, line.eccT, errors, age, pUe);
+                    if (bits(got) != bits(want) && ++mismatches <= 3) {
+                        ADD_FAILURE() << "cells=" << line.cells
+                                      << " errors=" << errors
+                                      << " age=" << age << " p_ue=" << pUe
+                                      << ": " << got << " != " << want;
+                    }
+                    unverified += !model.crossingBand(line.cells,
+                                                      line.eccT, errors,
+                                                      age, pUe)
+                                       .verified;
                 }
+                EXPECT_EQ(mismatches, 0u)
+                    << "cells=" << line.cells << " errors=" << errors
+                    << " p_ue=" << pUe;
+                EXPECT_EQ(unverified, 0u)
+                    << "cells=" << line.cells << " errors=" << errors
+                    << " p_ue=" << pUe;
+            }
+        }
+    }
+}
+
+/**
+ * The search with the band a refused edge check falls back to,
+ * (-inf, +inf), evaluates every step: it still matches the plain
+ * bisection and the banded search bit for bit.
+ */
+TEST(DriftModelOracle, ConditionalHorizonFallbackMatchesPlainBisection)
+{
+    const DeviceConfig config;
+    const DriftModel model{config};
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    const DriftModel::CrossingBand fallback{-inf, inf, false};
+    std::vector<double> ages = conditionalOracleAges(config);
+    ages.resize(2000);
+    for (const LineShape line : {kBch8Line, kSecdedLine}) {
+        for (const unsigned errors : {0u, line.eccT}) {
+            const double pUe = 1e-7;
+            model.prewarmConditional(line.cells, line.eccT, errors, pUe);
+            for (const double age : ages) {
+                const double banded = model.timeToConditionalUncorrectable(
+                    line.cells, line.eccT, errors, age, pUe);
+                const double plain = model.timeToConditionalUncorrectable(
+                    line.cells, line.eccT, errors, age, pUe, fallback);
+                ASSERT_EQ(bits(plain), bits(referenceConditionalHorizon(
+                                           model, line, errors, age, pUe)))
+                    << "cells=" << line.cells << " errors=" << errors
+                    << " age=" << age;
+                ASSERT_EQ(bits(plain), bits(banded))
+                    << "cells=" << line.cells << " errors=" << errors
+                    << " age=" << age;
             }
         }
     }
@@ -532,7 +611,7 @@ TEST(DriftModelOracle, GrowthBracketStraddlesTheTailCrossing)
                           pUe);
                 EXPECT_GT(bracket.below, 0.0);
                 EXPECT_LT((bracket.above - bracket.below) / bracket.below,
-                          1e-8);
+                          3e-11);
             }
         }
     }

@@ -9,13 +9,18 @@ and from one build to the next unless its results changed; the digest
 is the determinism cross-check. A binary whose stdout prints host
 timings gets "digest": null and a reason instead.
 
+With --repeat k each binary runs k times at each thread count,
+alternating 1-thread and N-thread runs so host drift hits both alike;
+"seconds" is then the median and "seconds_iqr" the [first, third]
+quartile of the k samples, which are kept under "samples".
+
     python3 tools/bench_experiments.py --build build-release \\
-        --out BENCH_experiments.json
+        --out BENCH_experiments.json --repeat 3
     python3 tools/bench_experiments.py --build build-release \\
         --only tab_headline fig_sensitivity --baseline BENCH_experiments.json
 
-Exits 1 if a binary fails, if its stdout differs between 1 and N
-threads, or (with --baseline) if a non-null digest differs from the
+Exits 1 if a binary fails, if its stdout differs between thread counts
+or repeats, or (with --baseline) if a non-null digest differs from the
 baseline document's.
 """
 
@@ -25,6 +30,7 @@ import json
 import os
 import platform
 import subprocess
+import statistics
 import sys
 import tempfile
 import time
@@ -61,24 +67,45 @@ def run_once(binary, threads, timeout):
     return proc.returncode, seconds, proc.stdout
 
 
-def measure(binary, thread_counts, timeout):
-    """One record: seconds and digest per thread count."""
+def summarize(samples):
+    """Median and [first, third] quartile of one run's wall seconds
+    (inclusive quartiles: a single sample is its own median and IQR)."""
+    if len(samples) == 1:
+        return samples[0], [samples[0], samples[0]]
+    q1, median, q3 = statistics.quantiles(samples, n=4,
+                                          method="inclusive")
+    return median, [q1, q3]
+
+
+def measure(binary, thread_counts, timeout, repeat=1, runner=run_once):
+    """One record: seconds and digest per thread count, each thread
+    count run `repeat` times in alternation with the others."""
     name = binary.name
     record = {"name": name, "runs": {}}
     problems = []
     digests = set()
+    samples = {threads: [] for threads in thread_counts}
+    first_digest = {}
+    for _ in range(repeat):
+        for threads in thread_counts:
+            code, seconds, stdout = runner(binary, threads, timeout)
+            digest = hashlib.sha256(stdout).hexdigest()
+            first_digest.setdefault(threads, digest)
+            digests.add(digest)
+            samples[threads].append(seconds)
+            if code != 0:
+                problems.append(f"{name}: exit {code} at {threads} threads")
+            print(f"  {name:28s} threads={threads:<3d} {seconds:8.2f} s",
+                  file=sys.stderr, flush=True)
     for threads in thread_counts:
-        code, seconds, stdout = run_once(binary, threads, timeout)
-        digest = hashlib.sha256(stdout).hexdigest()
-        digests.add(digest)
-        run = {"seconds": round(seconds, 3)}
+        median, iqr = summarize(samples[threads])
+        run = {"seconds": round(median, 3)}
+        if repeat > 1:
+            run["seconds_iqr"] = [round(q, 3) for q in iqr]
+            run["samples"] = [round(s, 3) for s in samples[threads]]
         if name not in HOST_TIMED:
-            run["digest"] = digest
+            run["digest"] = first_digest[threads]
         record["runs"][str(threads)] = run
-        if code != 0:
-            problems.append(f"{name}: exit {code} at {threads} threads")
-        print(f"  {name:28s} threads={threads:<3d} {seconds:8.2f} s",
-              file=sys.stderr, flush=True)
     if name in HOST_TIMED:
         record["digest"] = None
         record["digest_reason"] = HOST_TIMED[name]
@@ -87,7 +114,7 @@ def measure(binary, thread_counts, timeout):
         record["digest"] = record["runs"][str(thread_counts[0])]["digest"]
         if len(digests) != 1:
             problems.append(f"{name}: stdout differs between thread "
-                            f"counts {thread_counts}")
+                            f"counts {thread_counts} or repeats")
     return record, problems
 
 
@@ -114,9 +141,12 @@ def compare(baseline_doc, records):
                 continue
             old = base["runs"][threads]["seconds"]
             new = run["seconds"]
+            spread = ""
+            if "seconds_iqr" in run:
+                spread = "  new IQR {:.2f}-{:.2f}".format(*run["seconds_iqr"])
             print(f"{record['name']:28s} {threads:>7s} {old:9.2f} "
                   f"{new:9.2f} {100.0 * (new - old) / old:+7.1f}%  "
-                  f"{verdict}", file=sys.stderr)
+                  f"{verdict}{spread}", file=sys.stderr)
     return problems
 
 
@@ -136,7 +166,12 @@ def main():
                         help="compare against this BENCH_experiments.json")
     parser.add_argument("--timeout", type=float, default=1800.0,
                         help="per-run timeout in seconds")
+    parser.add_argument("--repeat", type=int, default=1, metavar="K",
+                        help="runs per binary and thread count; seconds "
+                             "are the median (default: 1)")
     args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
 
     # Read the baseline first: --out may overwrite the same file.
     baseline = (json.loads(args.baseline.read_text())
@@ -153,7 +188,8 @@ def main():
     records = []
     problems = []
     for binary in binaries:
-        record, found = measure(binary, thread_counts, args.timeout)
+        record, found = measure(binary, thread_counts, args.timeout,
+                                args.repeat)
         records.append(record)
         problems += found
 
@@ -172,6 +208,7 @@ def main():
                  "machine": platform.machine()},
         "build_type": build_type,
         "thread_counts": thread_counts,
+        "repeat": args.repeat,
         "total_seconds": totals,
         "binaries": records,
     }
