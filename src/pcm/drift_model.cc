@@ -1,11 +1,16 @@
 #include "pcm/drift_model.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <mutex>
 
 #include "common/logging.hh"
 #include "common/math.hh"
+#include "common/thread_pool.hh"
 
 namespace pcmscrub {
 
@@ -117,29 +122,6 @@ DriftModel::levelErrorProb(unsigned level, double t_seconds) const
     });
 }
 
-template <typename Eval>
-DriftModel::AgeTable
-DriftModel::tabulate(Eval eval) const
-{
-    AgeTable table(tableSize);
-    for (unsigned i = 0; i < tableSize; ++i) {
-        const double t = config_.driftT0Seconds *
-            std::pow(10.0, static_cast<double>(i) * logAgeStep);
-        table[i] = eval(logAge(t));
-    }
-    return table;
-}
-
-DriftModel::AgeTable
-DriftModel::cellErrorTable(const SpeedStrata &strata) const
-{
-    return tabulate([this, &strata](double u) {
-        return strata.average([this, u](double speed) {
-            return cellErrorProbAtLogAge(u, speed);
-        });
-    });
-}
-
 double
 DriftModel::interpolate(const AgeTable &table, double t_seconds) const
 {
@@ -162,7 +144,9 @@ DriftModel::interpolateAtLogAge(const AgeTable &table, double u)
 double
 DriftModel::cellErrorProb(double t_seconds) const
 {
-    return interpolate(cellErrorTable_, t_seconds);
+    PCMSCRUB_ASSERT(cellErrorTable_ != nullptr,
+                    "drift table read before prewarm()");
+    return interpolate(*cellErrorTable_, t_seconds);
 }
 
 namespace {
@@ -182,7 +166,7 @@ DriftModel::bulkEntry(double quantile) const
     PCMSCRUB_ASSERT(it != bulkTables_.end(),
                     "bulk quantile %f read before prewarmBulk()",
                     quantile);
-    return it->second;
+    return *it->second;
 }
 
 const DriftModel::AgeTable &
@@ -233,13 +217,6 @@ DriftModel::bisectAge(Below below, double mid_lo, double mid_hi)
             break;
     }
     return std::exp(lo);
-}
-
-double
-DriftModel::timeToCellErrorProb(double p) const
-{
-    PCMSCRUB_ASSERT(p > 0.0 && p < 1.0, "probability target %f", p);
-    return bisectAge([this, p](double t) { return cellErrorProb(t) < p; });
 }
 
 double
@@ -514,24 +491,30 @@ DriftModel::timeToExpectedErrors(unsigned cells, double k) const
 }
 
 double
+DriftModel::levelAboveBandProbAtLogAge(unsigned level, double u,
+                                       double speed) const
+{
+    const double mu = config_.driftMu[level] * speed;
+    const double sigmaNuU = config_.driftSigma(level) * speed * u;
+    const double mean = config_.levelMeanLogR[level] + mu * u;
+    const double sigma = std::sqrt(config_.sigmaLogR * config_.sigmaLogR +
+                                   sigmaNuU * sigmaNuU);
+    const double bandLow = config_.readThresholdLogR[level] -
+        config_.marginBandLogR;
+    return qfunc((bandLow - mean) / sigma);
+}
+
+double
 DriftModel::levelMarginFlagProbAtLogAge(unsigned level, double u) const
 {
     PCMSCRUB_ASSERT(level < mlcLevels, "bad level %u", level);
     if (!config_.hasUpperThreshold(level))
         return 0.0;
+    // Flagged = still reads correctly but sits inside the guard band
+    // below the threshold: P(bandLow < logR <= T_l).
     return strata_.average([this, level, u](double speed) {
-        const double mu = config_.driftMu[level] * speed;
-        const double sigmaNuU = config_.driftSigma(level) * speed * u;
-        const double mean = config_.levelMeanLogR[level] + mu * u;
-        const double sigma = std::sqrt(
-            config_.sigmaLogR * config_.sigmaLogR +
-            sigmaNuU * sigmaNuU);
-        const double bandLow = config_.readThresholdLogR[level] -
-            config_.marginBandLogR;
-        // Flagged = still reads correctly but sits inside the guard
-        // band below the threshold: P(bandLow < logR <= T_l).
-        const double aboveBand = qfunc((bandLow - mean) / sigma);
-        return aboveBand - levelErrorProbAtLogAge(level, u, speed);
+        return levelAboveBandProbAtLogAge(level, u, speed) -
+            levelErrorProbAtLogAge(level, u, speed);
     });
 }
 
@@ -541,19 +524,143 @@ DriftModel::levelMarginFlagProb(unsigned level, double t_seconds) const
     return levelMarginFlagProbAtLogAge(level, logAge(t_seconds));
 }
 
+struct DriftModel::StoredTables
+{
+    /** Error probability of the population below the quantile. */
+    BulkTable cellError;
+    /** Margin-flag probability; quantile 1 only. */
+    AgeTable marginFlag;
+    std::once_flag built;
+};
+
+namespace {
+
+/**
+ * A table store key: the bits of every DeviceConfig field a table
+ * reads, then the quantile's. Exact bits, not a hash: two keys share
+ * tables only if every input is the same double.
+ */
+using TableKey = std::array<std::uint64_t, 5 + 2 * mlcLevels +
+                                               (mlcLevels - 1) + 1>;
+
+TableKey
+tableKey(const DeviceConfig &config, double quantile)
+{
+    TableKey key{};
+    std::size_t next = 0;
+    const auto add = [&](double value) {
+        key[next++] = std::bit_cast<std::uint64_t>(value);
+    };
+    add(config.driftT0Seconds);
+    add(config.driftSpeedSigmaLn);
+    add(config.driftSigmaRatio);
+    add(config.sigmaLogR);
+    add(config.marginBandLogR);
+    for (const double mu : config.driftMu)
+        add(mu);
+    for (const double mean : config.levelMeanLogR)
+        add(mean);
+    for (const double threshold : config.readThresholdLogR)
+        add(threshold);
+    add(quantile);
+    PCMSCRUB_ASSERT(next == key.size(), "table key has %zu of %zu fields",
+                    next, key.size());
+    return key;
+}
+
+std::atomic<std::size_t> tablesBuiltCount{0};
+
+} // namespace
+
+std::size_t
+DriftModel::tablesBuilt()
+{
+    return tablesBuiltCount.load(std::memory_order_relaxed);
+}
+
+const DriftModel::StoredTables &
+DriftModel::storedTables(double quantile) const
+{
+    // Leaked, so no exit-time destructor frees a table that a model
+    // or AnalyticBackend::bulkTable_ still points at; entries are
+    // never erased, and std::map never moves them.
+    struct Store
+    {
+        std::mutex mutex;
+        std::map<TableKey, StoredTables> entries;
+    };
+    static Store *const store = new Store;
+    StoredTables *tables = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(store->mutex);
+        tables = &store->entries.try_emplace(tableKey(config_, quantile))
+                      .first->second;
+    }
+    // Built outside the map lock: other keys stay available, and
+    // requests for this key wait here until the one build is done.
+    std::call_once(tables->built, [&] {
+        buildTables(quantile, *tables);
+        tablesBuiltCount.fetch_add(1, std::memory_order_relaxed);
+    });
+    return *tables;
+}
+
+void
+DriftModel::buildTables(double quantile, StoredTables &tables) const
+{
+    const SpeedStrata strata = speedStrata(quantile);
+    const bool withMarginFlag = quantile == 1.0;
+    AgeTable &cellError = tables.cellError.values;
+    cellError.resize(tableSize);
+    if (withMarginFlag)
+        tables.marginFlag.resize(tableSize);
+    // Each grid age is computed alone, by the same code, so the
+    // tables are the same at any thread count. A build requested from
+    // inside a pool task runs inline.
+    ThreadPool::global().run(tableSize, [&](std::size_t i) {
+        const double t = config_.driftT0Seconds *
+            std::pow(10.0, static_cast<double>(i) * logAgeStep);
+        const double u = logAge(t);
+        // One error probability per (level, stratum) feeds both sums,
+        // each accumulated in the order of its per-table definition:
+        // the cell error averages levels within a stratum, the margin
+        // flag averages strata within a level.
+        std::vector<double> levelSum(strata.strata.size(), 0.0);
+        double marginSum = 0.0;
+        for (unsigned l = 0; l < mlcLevels; ++l) {
+            double levelMargin = 0.0;
+            for (std::size_t s = 0; s < strata.strata.size(); ++s) {
+                const double speed = strata.strata[s].speed;
+                const double error = levelErrorProbAtLogAge(l, u, speed);
+                levelSum[s] += error;
+                if (withMarginFlag && config_.hasUpperThreshold(l)) {
+                    levelMargin += strata.strata[s].weight *
+                        (levelAboveBandProbAtLogAge(l, u, speed) - error);
+                }
+            }
+            marginSum += levelMargin;
+        }
+        double cellSum = 0.0;
+        for (std::size_t s = 0; s < strata.strata.size(); ++s) {
+            cellSum += strata.strata[s].weight *
+                (levelSum[s] / static_cast<double>(mlcLevels));
+        }
+        cellError[i] = cellSum;
+        if (withMarginFlag)
+            tables.marginFlag[i] = marginSum / static_cast<double>(mlcLevels);
+    });
+    tables.cellError.sorted =
+        std::is_sorted(cellError.begin(), cellError.end());
+}
+
 void
 DriftModel::prewarm() const
 {
-    if (cellErrorTable_.empty())
-        cellErrorTable_ = cellErrorTable(strata_);
-    if (marginFlagTable_.empty()) {
-        marginFlagTable_ = tabulate([this](double u) {
-            double sum = 0.0;
-            for (unsigned l = 0; l < mlcLevels; ++l)
-                sum += levelMarginFlagProbAtLogAge(l, u);
-            return sum / static_cast<double>(mlcLevels);
-        });
-    }
+    if (cellErrorTable_ != nullptr)
+        return;
+    const StoredTables &tables = storedTables(1.0);
+    cellErrorTable_ = &tables.cellError.values;
+    marginFlagTable_ = &tables.marginFlag;
 }
 
 void
@@ -561,11 +668,9 @@ DriftModel::prewarmBulk(double quantile) const
 {
     PCMSCRUB_ASSERT(quantile > 0.0 && quantile <= 1.0,
                     "bulk quantile %f out of range", quantile);
-    BulkTable &entry = bulkTables_[bulkKey(quantile)];
-    if (!entry.values.empty())
-        return;
-    entry.values = cellErrorTable(speedStrata(quantile));
-    entry.sorted = std::is_sorted(entry.values.begin(), entry.values.end());
+    const BulkTable *&entry = bulkTables_[bulkKey(quantile)];
+    if (entry == nullptr)
+        entry = &storedTables(quantile).cellError;
 }
 
 void
@@ -591,7 +696,9 @@ DriftModel::prewarmConditional(unsigned cells, unsigned t_ecc,
 double
 DriftModel::cellMarginFlagProb(double t_seconds) const
 {
-    return interpolate(marginFlagTable_, t_seconds);
+    PCMSCRUB_ASSERT(marginFlagTable_ != nullptr,
+                    "drift table read before prewarm()");
+    return interpolate(*marginFlagTable_, t_seconds);
 }
 
 } // namespace pcmscrub

@@ -20,6 +20,7 @@
 #define PCMSCRUB_PCM_DRIFT_MODEL_HH
 
 #include <array>
+#include <cstddef>
 #include <limits>
 #include <map>
 #include <tuple>
@@ -101,14 +102,6 @@ class DriftModel
     double expectedLineErrors(unsigned cells, double t_seconds) const;
 
     /**
-     * Largest age (seconds) at which the per-cell error probability
-     * is still below `p`. Solved by bisection on the monotone
-     * closed form; this is what the drift-aware scrub uses to decide
-     * when a region next needs attention.
-     */
-    double timeToCellErrorProb(double p) const;
-
-    /**
      * Largest age at which a `cells`-cell line protected by a
      * t_ecc-correcting code stays uncorrectable with probability
      * below `p_ue`.
@@ -162,21 +155,34 @@ class DriftModel
     double cellMarginFlagProb(double t_seconds) const;
 
     /**
-     * Build the cell-error and margin-flag lookup tables (idempotent).
-     * Every table is built only here and in prewarmBulk(), from
-     * serial code; afterwards the tables are read-only, so parallel
-     * shard tasks may read them concurrently. cellErrorProb(),
-     * cellMarginFlagProb() and everything built on them (the line
-     * probabilities and the timeTo* searches except the conditional
-     * one) assert that prewarm() ran.
+     * Make the cell-error and margin-flag lookup tables readable
+     * through this model (idempotent). The tables live in a
+     * process-wide, build-once store shared by every model with the
+     * same drift inputs (DESIGN.md, "Table store"): the first request
+     * for a key builds it, later ones only point at it. Once built a
+     * table is read-only and never moves, so parallel shard tasks may
+     * read it concurrently. cellErrorProb(), cellMarginFlagProb() and
+     * everything built on them (the line probabilities and the
+     * timeTo* searches except the conditional one) assert that this
+     * model's prewarm() ran, even when another model already had the
+     * store build the tables.
      */
     void prewarm() const;
 
     /**
-     * Build the bulk-population table for one quantile (idempotent).
-     * bulkCellErrorProb() asserts that its quantile was prewarmed.
+     * Make the bulk-population table for one quantile readable through
+     * this model (idempotent; built once per process like prewarm()'s).
+     * bulkCellErrorProb() asserts that this model prewarmed its
+     * quantile.
      */
     void prewarmBulk(double quantile) const;
+
+    /**
+     * Entries the process-wide store has built so far: one per
+     * distinct (drift inputs, quantile) key, however many models
+     * asked.
+     */
+    static std::size_t tablesBuilt();
 
     /**
      * Build what timeToConditionalUncorrectable(cells, t_ecc,
@@ -270,8 +276,9 @@ class DriftModel
 
     /**
      * The prewarmed bulk table for one quantile, for callers that
-     * read it many times: its address is stable for the model's
-     * lifetime.
+     * read it many times: it lives in the process-wide store, so its
+     * address is stable for the process's lifetime and shared by
+     * every model with the same drift inputs and quantile.
      */
     const AgeTable &bulkTable(double quantile) const;
 
@@ -385,18 +392,34 @@ class DriftModel
     /** cellErrorProbGivenSpeed at log-age u. */
     double cellErrorProbAtLogAge(double u, double speed) const;
 
+    /**
+     * Probability that a level-l cell of intrinsic speed `speed` at
+     * log-age u reads above the bottom of the margin band.
+     */
+    double levelAboveBandProbAtLogAge(unsigned level, double u,
+                                      double speed) const;
+
     /** levelMarginFlagProb at log-age u. */
     double levelMarginFlagProbAtLogAge(unsigned level, double u) const;
 
     /** Strata of the speed distribution truncated at `quantile`. */
     SpeedStrata speedStrata(double quantile) const;
 
-    /** Tabulate eval(u) over the log-time grid. */
-    template <typename Eval>
-    AgeTable tabulate(Eval eval) const;
+    /**
+     * The tables of one store key: the error table of the population
+     * below `quantile`, and for quantile 1 (the whole population) the
+     * margin-flag table too. Defined in drift_model.cc.
+     */
+    struct StoredTables;
 
-    /** cellErrorProbAtLogAge averaged over `strata`, tabulated. */
-    AgeTable cellErrorTable(const SpeedStrata &strata) const;
+    /**
+     * The store's tables for this model's drift inputs at `quantile`,
+     * built on the first request in the process.
+     */
+    const StoredTables &storedTables(double quantile) const;
+
+    /** Fill `tables` over the log-time grid, in one pass per age. */
+    void buildTables(double quantile, StoredTables &tables) const;
 
     /** Interpolated read of a prewarmed table. */
     double interpolate(const AgeTable &table, double t_seconds) const;
@@ -406,9 +429,11 @@ class DriftModel
     /** Strata of the whole population (quantile 1). */
     SpeedStrata strata_;
 
-    mutable AgeTable cellErrorTable_;
-    mutable AgeTable marginFlagTable_;
-    mutable std::map<long, BulkTable> bulkTables_;
+    /** Set by prewarm(); they point into the table store. */
+    mutable const AgeTable *cellErrorTable_ = nullptr;
+    mutable const AgeTable *marginFlagTable_ = nullptr;
+    /** Set by prewarmBulk(); keyed by the quantile in millionths. */
+    mutable std::map<long, const BulkTable *> bulkTables_;
 
     /** Keyed by (healthy cells, error budget, p_ue). */
     using BracketKey = std::tuple<unsigned, unsigned, double>;

@@ -123,19 +123,6 @@ TEST(DriftModel, ExpectedLineErrorsScalesWithCells)
                 2.0 * model.expectedLineErrors(256, t), 1e-12);
 }
 
-TEST(DriftModel, TimeToCellErrorProbInvertsForward)
-{
-    const DriftModel model = prewarmed(DeviceConfig{});
-    for (const double p : {1e-9, 1e-6, 1e-4}) {
-        const double t = model.timeToCellErrorProb(p);
-        EXPECT_GT(t, 1.0);
-        // Forward-evaluating at the returned age stays below target,
-        // and slightly later crosses it.
-        EXPECT_LE(model.cellErrorProb(t * 0.999), p);
-        EXPECT_GE(model.cellErrorProb(t * 1.05), p * 0.9);
-    }
-}
-
 TEST(DriftModel, TimeToLineUncorrectableGrowsWithEcc)
 {
     const DriftModel model = prewarmed(DeviceConfig{});

@@ -18,10 +18,15 @@ regresses by more than GUARD_THRESHOLD_PCT. lines_per_second (and
 every other time-domain metric) stays report-only even under
 --guard.
 
-Understands the three pcmscrub bench JSON shapes:
+Understands the three pcmscrub micro-bench JSON shapes:
   - micro_codec:  {"benchmarks": [{"name", "cpu_time_ns", ...}]}
   - micro_sweep:  flat scalars (wall_seconds, lines_per_second, ...)
   - micro_scale:  {"points": [{"lines", "lines_per_second", ...}]}
+and BENCH_experiments.json (tools/bench_experiments.py): per binary
+and thread count, the median wall seconds against the baseline's,
+flagged only when the medians differ by more than the two records'
+interquartile ranges added together, plus whether the stdout digest
+still matches. Those rows are report-only.
 Metrics present on only one side are not compared, but the report
 distinguishes *why* a baseline point is absent from the fresh run: a
 point listed in the fresh document's "skipped_points" (micro_scale's
@@ -150,11 +155,84 @@ def fmt(value):
     return "%.4g" % value
 
 
+EXPERIMENTS_SCHEMA = "pcmscrub.bench_experiments.v1"
+
+
+def iqr_width(run):
+    """Width of one run's recorded IQR (0 for a single sample)."""
+    low, high = run.get("seconds_iqr", [run["seconds"]] * 2)
+    return high - low
+
+
+def spread_verdict(base_run, fresh_run):
+    """(delta %, verdict) of one binary at one thread count.
+
+    The verdict is "faster" or "slower" only when the medians differ
+    by more than the two IQR widths added, and "within spread"
+    otherwise; delta is None when the baseline median is zero.
+    """
+    base = base_run["seconds"]
+    fresh = fresh_run["seconds"]
+    pct = (fresh - base) / base * 100.0 if base else None
+    if abs(fresh - base) <= iqr_width(base_run) + iqr_width(fresh_run):
+        return pct, "within spread"
+    return pct, "faster" if fresh < base else "slower"
+
+
+def fmt_run(run):
+    text = "%.3f" % run["seconds"]
+    if "seconds_iqr" in run:
+        text += " (%.3f-%.3f)" % tuple(run["seconds_iqr"])
+    return text
+
+
+def diff_experiments(baseline_doc, fresh_doc, baseline_name):
+    """Print the BENCH_experiments.json comparison table."""
+    print("### experiments")
+    print()
+    print("| binary | threads | baseline s (`%s`, IQR) | fresh s (IQR) "
+          "| delta | digest |" % baseline_name)
+    print("|---|---|---|---|---|---|")
+    baseline = {r["name"]: r for r in baseline_doc["binaries"]}
+    missing = sorted(set(baseline) -
+                     {r["name"] for r in fresh_doc["binaries"]})
+    for record in fresh_doc["binaries"]:
+        base = baseline.get(record["name"])
+        if base is None:
+            continue
+        if base.get("digest") is None or record.get("digest") is None:
+            digest = "n/a"
+        else:
+            digest = ("same" if base["digest"] == record["digest"]
+                      else "DIFFERS")
+        for threads, run in record["runs"].items():
+            if threads not in base["runs"]:
+                continue
+            pct, verdict = spread_verdict(base["runs"][threads], run)
+            if pct is None:
+                delta = "n/a"
+            else:
+                mark = {"faster": " ✅", "slower": " 🔺"}.get(verdict, "")
+                delta = "%+.1f%% %s%s" % (pct, verdict, mark)
+            print("| %s | %s | %s | %s | %s | %s |" % (
+                record["name"], threads, fmt_run(base["runs"][threads]),
+                fmt_run(run), delta, digest))
+    if missing:
+        print()
+        print("_missing from fresh run: %s_" % ", ".join(missing))
+    print()
+
+
 def diff(baseline_path, fresh_path, guard):
     with open(baseline_path) as fh:
         baseline_doc = json.load(fh)
     with open(fresh_path) as fh:
         fresh_doc = json.load(fh)
+    if (baseline_doc.get("schema") == EXPERIMENTS_SCHEMA
+            and fresh_doc.get("schema") == EXPERIMENTS_SCHEMA):
+        diff_experiments(baseline_doc, fresh_doc,
+                         os.path.basename(baseline_path))
+        return []
     name = fresh_doc.get("name", os.path.basename(fresh_path))
     print("### %s" % name)
     print()

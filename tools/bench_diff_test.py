@@ -8,8 +8,12 @@ threshold, ignore time-domain metrics entirely, and never reward a
 regression hidden behind a missing baseline.
 """
 
+import contextlib
+import io
+import json
 import os
 import sys
+import tempfile
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -184,6 +188,81 @@ class RegressionPctTest(unittest.TestCase):
         self.assertAlmostEqual(
             bench_diff.regression_pct("bytes_per_line", 100.0, 90.0,
                                       False), -10.0)
+
+
+def experiments(**runs):
+    """{binary: (digest, {threads: (median, [q1, q3] or None)})} ->
+    a BENCH_experiments.json document."""
+    binaries = []
+    for name, (digest, by_threads) in runs.items():
+        record = {"name": name, "digest": digest, "runs": {}}
+        for threads, (seconds, iqr) in by_threads.items():
+            run = {"seconds": seconds, "digest": digest}
+            if iqr is not None:
+                run["seconds_iqr"] = iqr
+            record["runs"][str(threads)] = run
+        binaries.append(record)
+    return {"schema": bench_diff.EXPERIMENTS_SCHEMA, "binaries": binaries}
+
+
+class ExperimentsSpreadTest(unittest.TestCase):
+    def test_delta_inside_combined_iqr_is_not_flagged(self):
+        # 0.3 s apart, IQR widths 0.2 + 0.2 = 0.4 s.
+        pct, verdict = bench_diff.spread_verdict(
+            {"seconds": 10.0, "seconds_iqr": [9.9, 10.1]},
+            {"seconds": 10.3, "seconds_iqr": [10.2, 10.4]})
+        self.assertEqual(verdict, "within spread")
+        self.assertAlmostEqual(pct, 3.0)
+
+    def test_delta_past_combined_iqr_is_flagged_both_ways(self):
+        base = {"seconds": 10.0, "seconds_iqr": [9.9, 10.1]}
+        self.assertEqual(bench_diff.spread_verdict(
+            base, {"seconds": 10.5, "seconds_iqr": [10.4, 10.6]})[1],
+            "slower")
+        self.assertEqual(bench_diff.spread_verdict(
+            base, {"seconds": 6.0, "seconds_iqr": [5.9, 6.1]})[1],
+            "faster")
+
+    def test_single_sample_records_have_no_spread(self):
+        self.assertEqual(bench_diff.spread_verdict(
+            {"seconds": 1.0}, {"seconds": 1.01})[1], "slower")
+
+    def test_table_rows_and_digest_column(self):
+        baseline = experiments(
+            fig_a=("d1", {1: (4.0, [3.9, 4.1]), 4: (2.0, [1.9, 2.1])}),
+            tab_b=("d2", {1: (1.0, [0.95, 1.05])}),
+            fig_gone=("d3", {1: (1.0, None)}))
+        fresh = experiments(
+            fig_a=("d1", {1: (3.0, [2.9, 3.1]), 4: (2.1, [2.0, 2.2])}),
+            tab_b=("changed", {1: (1.0, [0.95, 1.05])}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            bench_diff.diff_experiments(baseline, fresh, "old.json")
+        rows = [line for line in out.getvalue().splitlines()
+                if line.startswith("| fig_") or line.startswith("| tab_")]
+        self.assertEqual(len(rows), 3)
+        self.assertIn("-25.0% faster", rows[0])
+        self.assertIn("| same |", rows[0])
+        self.assertIn("within spread", rows[1])
+        self.assertIn("DIFFERS", rows[2])
+        self.assertIn("missing from fresh run: fig_gone", out.getvalue())
+
+    def test_main_reads_experiment_records_report_only(self):
+        baseline = experiments(fig_a=("d1", {1: (1.0, [1.0, 1.0])}))
+        fresh = experiments(fig_a=("d1", {1: (9.0, [9.0, 9.0])}))
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for name, doc in (("old.json", baseline),
+                              ("new.json", fresh)):
+                path = os.path.join(tmp, name)
+                with open(path, "w") as fh:
+                    json.dump(doc, fh)
+                paths.append(path)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = bench_diff.main(["bench_diff.py", "--guard"] + paths)
+        self.assertEqual(code, 0)
+        self.assertIn("slower", out.getvalue())
 
 
 if __name__ == "__main__":
