@@ -13,6 +13,7 @@
 #define PCMSCRUB_COMMON_RANDOM_HH
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -83,20 +84,7 @@ class Random
     }
 
     /** Next raw 64-bit value. */
-    std::uint64_t next()
-    {
-        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-        const std::uint64_t t = s_[1] << 17;
-
-        s_[2] ^= s_[0];
-        s_[3] ^= s_[1];
-        s_[1] ^= s_[2];
-        s_[0] ^= s_[3];
-        s_[2] ^= t;
-        s_[3] = rotl(s_[3], 45);
-
-        return result;
-    }
+    std::uint64_t next() { return step(s_); }
 
     /** Uniform double in [0, 1). */
     double uniform()
@@ -134,22 +122,36 @@ class Random
      */
     double normalZig()
     {
-        // One raw draw carries everything the fast path needs: 53
-        // mantissa bits (11..63), the layer (0..6), the sign (7).
-        const detail::ZigTables &t = detail::zigTables();
         const std::uint64_t bits = next();
-        const unsigned layer = static_cast<unsigned>(bits & 127);
-        const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
-        if (u < t.ratio[layer]) [[likely]] {
-            // Branchless sign: bit 7 moved onto the IEEE sign bit.
-            // Exact match for multiplying by ±1 — negation never
-            // rounds — without a 50/50-unpredictable branch.
-            const double mag = u * t.x[layer];
-            return std::bit_cast<double>(
-                std::bit_cast<std::uint64_t>(mag) ^
-                ((bits & 128) << 56));
-        }
+        double z;
+        if (zigFast(bits, z)) [[likely]]
+            return z;
         return normalZigSlow(bits);
+    }
+
+    /**
+     * Fill out[0..n) with ziggurat normals: exactly the values and
+     * the end state of n normalZig() calls in order. Batched
+     * consumers draw a whole line's normals here, then scatter them
+     * without data-dependent branches.
+     */
+    void fillNormalZig(double *out, std::size_t n)
+    {
+        // The state lives in locals for the loop (a member array
+        // would be stored back every draw for the rare slow call).
+        std::uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint64_t bits = step(s);
+            if (zigFast(bits, out[i])) [[likely]]
+                continue;
+            for (int w = 0; w < 4; ++w)
+                s_[w] = s[w];
+            out[i] = normalZigSlow(bits);
+            for (int w = 0; w < 4; ++w)
+                s[w] = s_[w];
+        }
+        for (int w = 0; w < 4; ++w)
+            s_[w] = s[w];
     }
 
     /** Normal with the given mean and standard deviation. */
@@ -224,6 +226,44 @@ class Random
     static std::uint64_t rotl(std::uint64_t x, int k)
     {
         return (x << k) | (x >> (64 - k));
+    }
+
+    /**
+     * normalZig()'s rectangle-accept fast path for one raw draw:
+     * true with the normal in `z`, or false when the slow resolver
+     * must take over. One raw draw carries everything: 53 mantissa
+     * bits (11..63), the layer (0..6), the sign (7).
+     */
+    static bool zigFast(std::uint64_t bits, double &z)
+    {
+        const detail::ZigTables &t = detail::zigTables();
+        const unsigned layer = static_cast<unsigned>(bits & 127);
+        const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
+        if (!(u < t.ratio[layer]))
+            return false;
+        // Branchless sign: bit 7 moved onto the IEEE sign bit. Exact
+        // match for multiplying by ±1 — negation never rounds —
+        // without a 50/50-unpredictable branch.
+        const double mag = u * t.x[layer];
+        z = std::bit_cast<double>(std::bit_cast<std::uint64_t>(mag) ^
+                                  ((bits & 128) << 56));
+        return true;
+    }
+
+    /** One xoshiro256** step on a state array: output, then advance. */
+    static std::uint64_t step(std::uint64_t *s)
+    {
+        const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+        const std::uint64_t t = s[1] << 17;
+
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = rotl(s[3], 45);
+
+        return result;
     }
 
     /**

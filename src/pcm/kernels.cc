@@ -43,12 +43,15 @@ programScratch()
 
 /**
  * Batched rewrite of a full array-home MLC line: stage A decodes
- * target levels and consumes the line stream in the scalar loop's
- * exact draw order into scratch, stage B (programTransformAvx2)
- * turns the draws into plane bytes eight cells at a step. Emits the
- * bits, stats, and overlay words of the scalar loop exactly; the
- * caller has already materialized the overlay if the line needs one
- * and verified the vector gate.
+ * target levels, draws the line stream's normals in the scalar
+ * loop's exact order with one batched fill and scatters them into
+ * scratch, and takes the manufacturing state as z-scores (the
+ * warm-up's derivation, no exp); stage B (programTransformAvx2)
+ * turns the draws into plane bytes four cells at a step, deciding
+ * the nu code and wear-out in the log domain. Emits the bits,
+ * stats, and overlay words of the scalar loop exactly; the caller
+ * has already materialized the overlay if the line needs one and
+ * verified the vector gate.
  */
 LineProgramStats
 programCodewordBatched(const CellSpan &cells, const BitVector &codeword,
@@ -69,32 +72,48 @@ programCodewordBatched(const CellSpan &cells, const BitVector &codeword,
     // Stage A: decode target levels (2-bit Gray symbols pack 32 to
     // the codeword word; the BitVector keeps tail bits clear, so an
     // odd-width codeword's half-cell lands as bit1 = 0 exactly like
-    // the bit-by-bit guard) and consume the line stream in the
-    // scalar order — per live cell the iteration draw (intermediate
-    // levels only), then logR0, then nu. Stuck cells draw nothing.
+    // the bit-by-bit guard) and count the line-stream draws: per
+    // live cell the iteration draw (intermediate levels only), then
+    // logR0, then nu. Stuck cells draw nothing.
     const std::uint64_t *words = codeword.words().data();
     const CellConstSpan view = cells.view();
-    bool anyStuck = false;
+    std::size_t draws = 0;
+    unsigned stuckCells = 0;
     for (std::size_t i = 0; i < count; ++i) {
         const unsigned g = static_cast<unsigned>(
             (words[i >> 5] >> ((i & 31u) * 2u)) & 3u);
         const unsigned level =
             grayToLevel(static_cast<std::uint8_t>(g));
+        const unsigned live = !view.stuck(i);
         scr.level[i] = static_cast<std::uint8_t>(level);
-        if (view.stuck(i)) {
-            scr.alive[i] = 0;
-            anyStuck = true;
-            continue;
-        }
-        scr.alive[i] = 1;
-        if (level != 0 && level != mlcLevels - 1) {
-            scr.dIter[i] = config.meanIterationsIntermediate +
-                config.sigmaIterations * rng.normalZig();
-        }
+        scr.alive[i] = static_cast<std::uint8_t>(live);
+        stuckCells += 1u - live;
+        draws += live * (2u + (level - 1u < mlcLevels - 2u));
+    }
+
+    // One fill in stream order, then a branch-free scatter: each
+    // live cell advances the cursor by its own draw count. Stores
+    // that a cell does not use (dIter of an extreme level, every
+    // field of a stuck cell) hold a neighbour's normal and are never
+    // read; the three-slot pad keeps a trailing stuck cell's reads
+    // inside the buffer.
+    scr.draws.resize(draws + 3);
+    rng.fillNormalZig(scr.draws.data(), draws);
+    double driftMu[mlcLevels], driftSig[mlcLevels];
+    for (unsigned l = 0; l < mlcLevels; ++l) {
+        driftMu[l] = config.driftMu[l];
+        driftSig[l] = config.driftSigma(l);
+    }
+    const double *d = scr.draws.data();
+    for (std::size_t i = 0; i < count; ++i) {
+        const unsigned level = scr.level[i];
+        const unsigned inter = level - 1u < mlcLevels - 2u;
+        scr.dIter[i] = config.meanIterationsIntermediate +
+            config.sigmaIterations * d[0];
         scr.dLogR[i] = config.levelMeanLogR[level] +
-            config.sigmaLogR * rng.normalZig();
-        scr.dNu[i] = config.driftMu[level] +
-            config.driftSigma(level) * rng.normalZig();
+            config.sigmaLogR * d[inter];
+        scr.dNu[i] = driftMu[level] + driftSig[level] * d[inter + 1];
+        d += scr.alive[i] * (2u + inter);
     }
 
     // Gray plane: cell c's symbol is codeword bits 2c..2c+1, four
@@ -105,7 +124,7 @@ programCodewordBatched(const CellSpan &cells, const BitVector &codeword,
     // deposited the same clear tail), so wholesale stays identical.
     std::uint8_t *gray = storage.grayData(cells.line);
     const std::size_t planeBytes = (count + 3) / 4;
-    if (anyStuck) {
+    if (stuckCells != 0) {
         for (std::size_t k = 0; k < planeBytes; ++k) {
             const std::size_t base = k * 4;
             const std::size_t n =
@@ -127,28 +146,41 @@ programCodewordBatched(const CellSpan &cells, const BitVector &codeword,
         }
     }
 
-    // Manufacturing floats: stored planes in aux mode, else the
-    // batched derive (per-cell streams, order-neutral; values are
-    // deriveManufacturing's exactly).
-    const float *nuSpeedF;
-    const float *enduranceF;
+    // Manufacturing state in the log domain: compact storage takes
+    // the per-cell streams' z-scores (order-neutral, the warm-up's
+    // batched derivation); aux storage takes the ln of its stored
+    // floats through the same transform with an identity map.
+    detail::ProgramTransformArgs args;
+    scr.zE.resize(count);
     if (storage.auxMode()) {
-        nuSpeedF = storage.rawNuSpeedData(cells.line);
-        enduranceF = storage.rawEnduranceData(cells.line);
+        scr.zS.resize(count);
+        args.auxEndurance = storage.rawEnduranceData(cells.line);
+        args.auxNuSpeed = storage.rawNuSpeedData(cells.line);
+        simdk::lnFloatsAvx2(args.auxEndurance, count, scr.zE.data());
+        simdk::lnFloatsAvx2(args.auxNuSpeed, count, scr.zS.data());
+        args.zS = scr.zS.data();
+        args.logMedianE = 0.0;
+        args.sigmaE = 1.0;
+        args.sigmaS = 1.0;
     } else {
-        scr.nuSpeedF.resize(count);
-        scr.enduranceF.resize(count);
-        simdk::manufDeriveAvx2(
+        args.auxEndurance = nullptr;
+        args.auxNuSpeed = nullptr;
+        args.sigmaS = spec.driftSpeedSigmaLn();
+        double *zS = nullptr;
+        if (args.sigmaS != 0.0) {
+            scr.zS.resize(count);
+            zS = scr.zS.data();
+        }
+        simdk::manufZScoresAvx2(
             storage.manufSeed(),
             storage.manufStreamId(cells.baseCell, cells.line), count,
-            spec.enduranceLogMedian(), spec.enduranceSigmaLn(),
-            spec.driftSpeedSigmaLn(), scr.enduranceF.data(),
-            scr.nuSpeedF.data());
-        nuSpeedF = scr.nuSpeedF.data();
-        enduranceF = scr.enduranceF.data();
+            scr.zE.data(), zS);
+        args.zS = zS;
+        args.logMedianE = spec.enduranceLogMedian();
+        args.sigmaE = spec.enduranceSigmaLn();
     }
+    args.zE = scr.zE.data();
 
-    detail::ProgramTransformArgs args;
     args.logRq = storage.rawLogRqData(cells.line);
     args.nuIdx = storage.rawNuIdxData(cells.line);
     args.level = scr.level.data();
@@ -156,8 +188,9 @@ programCodewordBatched(const CellSpan &cells, const BitVector &codeword,
     args.dIter = scr.dIter.data();
     args.dLogR = scr.dLogR.data();
     args.dNu = scr.dNu.data();
-    args.nuSpeedF = nuSpeedF;
-    args.enduranceF = enduranceF;
+    scr.lnDNu.resize(count);
+    simdk::lnPositiveAvx2(scr.dNu.data(), count, scr.lnDNu.data());
+    args.lnDNu = scr.lnDNu.data();
     args.ovWrites =
         overlay != nullptr ? overlay->writes.data() : nullptr;
     args.ovTicks =
@@ -173,6 +206,8 @@ programCodewordBatched(const CellSpan &cells, const BitVector &codeword,
     args.logR0Step = spec.logR0Step();
     args.nuMin = spec.nuMin();
     args.nuMax = spec.nuMax();
+    args.lnNuMin = std::log(spec.nuMin());
+    args.lnNuMax = std::log(spec.nuMax());
     args.invNuLogStep = spec.invNuLogStep();
 
     LineProgramStats stats;
@@ -376,8 +411,7 @@ warmProgramCodeword(const CellSpan &cells, const BitVector &codeword,
     }
     const std::size_t count = cells.count;
     detail::ProgramScratch &scr = programScratch();
-    scr.z1.resize(count);
-    scr.z2.resize(count);
+    scr.draws.resize(2 * count);
     scr.zE.resize(count);
     if (sigmaS != 0.0)
         scr.zS.resize(count);
@@ -385,11 +419,8 @@ warmProgramCodeword(const CellSpan &cells, const BitVector &codeword,
 
     // Stage A, line stream: always both z-scores per cell — one for
     // logR0, one for this write's drift exponent — in the scalar
-    // order (z1 then z2, cell by cell).
-    for (std::size_t i = 0; i < count; ++i) {
-        scr.z1[i] = rng.normalZig();
-        scr.z2[i] = rng.normalZig();
-    }
+    // order (z1 then z2, cell by cell): one batched fill.
+    rng.fillNormalZig(scr.draws.data(), 2 * count);
 
     // Stage A, manufacturing streams: consumed draw-for-draw like
     // sampleManufacturing (endurance first; no drift-speed draw when
@@ -417,8 +448,7 @@ warmProgramCodeword(const CellSpan &cells, const BitVector &codeword,
     args.gray = gray;
     args.logRq = logRq;
     args.nuIdx = nuIdx;
-    args.z1 = scr.z1.data();
-    args.z2 = scr.z2.data();
+    args.zLine = scr.draws.data();
     args.zE = scr.zE.data();
     args.zS = zS;
     args.count = count;

@@ -53,11 +53,16 @@ unsigned marginScanCount(const CellConstSpan &cells,
 
 /**
  * Program the line to hold `codeword` — the batched form of the
- * writeCodeword loop. RNG draws happen in exact per-cell order (the
- * physics still runs through CellModel::program per cell, so the
- * draw sequence cannot drift from the reference); the batching wins
- * are the plane-local stores and, on differential writes, the
- * hoisted-log10 current-level read.
+ * writeCodeword loop, bit-identical to CellModel::program per cell
+ * followed by storePhysics, draw for draw. A full MLC write of an
+ * array-home line on a SIMD-capable host takes the two-stage
+ * pipeline: one batched fill of the line stream's normals in the
+ * scalar order, manufacturing z-scores shared with warm-up (no exp),
+ * and a vector transform deciding nu codes and wear-out in the log
+ * domain, with lanes near a decision boundary peeled to the scalar
+ * helper (margins in kernels_simd.hh). Every other shape runs the
+ * per-cell model loop, whose differential writes read the current
+ * level with the hoisted-log10 sense.
  */
 LineProgramStats programCodeword(const CellSpan &cells,
                                  const BitVector &codeword,

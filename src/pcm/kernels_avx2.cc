@@ -32,6 +32,7 @@
 
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "common/random.hh"
 #include "pcm/cell.hh"
@@ -153,9 +154,9 @@ greaterMask(const Decoded8 &d, double thr)
 // helpers below are exact: where the scalar path's arithmetic is a
 // single IEEE operation, the lane op is the same operation on the
 // same bits, so results match bit for bit. Only the transcendental
-// replacements (vlogPos / vexpF) approximate — and every consumer
-// peels lanes that sit within a guard margin of a decision boundary
-// back to the scalar reference path.
+// replacement (vlogPos) approximates — and every consumer peels
+// lanes that sit within a guard margin of a decision boundary back
+// to the scalar reference path.
 
 /** Lane-wise x * c mod 2^64 (c a compile-time-ish u64 constant). */
 inline __m256i
@@ -172,15 +173,17 @@ mul64(__m256i x, std::uint64_t c)
     return _mm256_add_epi64(lo, _mm256_slli_epi64(mid, 32));
 }
 
-/** Lane-wise detail::splitmix64: advances state, returns the mix. */
+/**
+ * Lane-wise k-th detail::splitmix64 output from seed c: the state
+ * after k steps is c + k * gamma, so the steps are independent and a
+ * caller computes only the words it needs.
+ */
 inline __m256i
-vsplitmix(__m256i &state)
+vsplitmix(__m256i c, std::uint64_t k)
 {
-    state = _mm256_add_epi64(
-        state,
-        _mm256_set1_epi64x(
-            static_cast<long long>(0x9e3779b97f4a7c15ULL)));
-    __m256i z = state;
+    __m256i z = _mm256_add_epi64(
+        c, _mm256_set1_epi64x(
+               static_cast<long long>(k * 0x9e3779b97f4a7c15ULL)));
     z = mul64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)),
               0xbf58476d1ce4e5b9ULL);
     z = mul64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)),
@@ -195,44 +198,15 @@ vrotl(__m256i x, int k)
                            _mm256_srli_epi64(x, 64 - k));
 }
 
-/** Four independent xoshiro256** generators, one per 64-bit lane. */
-struct VXoshiro
+/** xoshiro256** output scrambler rotl(s1 * 5, 7) * 9, lane-wise. */
+inline __m256i
+vstarstar(__m256i s1)
 {
-    __m256i s0, s1, s2, s3;
-
-    /**
-     * Seed each lane the way Random's constructor does: four
-     * splitmix64 expansions of the lane's combined seed value.
-     */
-    static VXoshiro seeded(__m256i combined)
-    {
-        VXoshiro g;
-        g.s0 = vsplitmix(combined);
-        g.s1 = vsplitmix(combined);
-        g.s2 = vsplitmix(combined);
-        g.s3 = vsplitmix(combined);
-        return g;
-    }
-
-    /** Lane-wise Random::next(). */
-    __m256i next()
-    {
-        // s1 * 5 = s1 + (s1 << 2); rotl 7; * 9 = x + (x << 3).
-        const __m256i x5 =
-            _mm256_add_epi64(s1, _mm256_slli_epi64(s1, 2));
-        const __m256i r7 = vrotl(x5, 7);
-        const __m256i result =
-            _mm256_add_epi64(r7, _mm256_slli_epi64(r7, 3));
-        const __m256i t = _mm256_slli_epi64(s1, 17);
-        s2 = _mm256_xor_si256(s2, s0);
-        s3 = _mm256_xor_si256(s3, s1);
-        s1 = _mm256_xor_si256(s1, s2);
-        s0 = _mm256_xor_si256(s0, s3);
-        s2 = _mm256_xor_si256(s2, t);
-        s3 = vrotl(s3, 45);
-        return result;
-    }
-};
+    // s1 * 5 = s1 + (s1 << 2); rotl 7; * 9 = x + (x << 3).
+    const __m256i r7 =
+        vrotl(_mm256_add_epi64(s1, _mm256_slli_epi64(s1, 2)), 7);
+    return _mm256_add_epi64(r7, _mm256_slli_epi64(r7, 3));
+}
 
 /**
  * Exact u64 -> double conversion for lane values below 2^53: each
@@ -302,8 +276,9 @@ vroundHalfAway(__m256d p)
  * sqrt2], then the atanh series ln(m) = 2s(1 + s^2/3 + ... +
  * s^14/15) with s = (m-1)/(m+1), |s| <= 0.1716. Absolute error is
  * below ~3e-13 over the full exponent range — callers guard every
- * decision boundary with margins of 1e-8 (ln-domain compares) and
- * 1e-6 quantizer steps, orders of magnitude wider.
+ * decision boundary with far wider margins (warm-up: 1e-8 in ln and
+ * 1e-6 quantizer steps; rewrite: detail::kProgramLnMargin). Zero
+ * maps to -1023 ln 2 and infinity to 1024 ln 2.
  */
 inline __m256d
 vlogPos(__m256d w)
@@ -357,112 +332,6 @@ vlogPos(__m256d w)
         lnM);
 }
 
-/**
- * Lane-wise float(exp(x)): Cody-Waite range reduction (hi/lo ln2
- * split keeps k * ln2hi exact for |k| <= 2^10), degree-13 Taylor,
- * 2^k via exponent bits. The double result y is within ~2e-15
- * relative of libm's — far tighter than the 1e-13 slack budget —
- * and a lane is *accepted* only when rounding y to float provably
- * gives float(exp_true): the distance from y to its float roundtrip
- * must clear the float's half-ulp by more than slack (the half-ulp
- * halves on the low side of an exact power of two, where the
- * binade's spacing changes). Everything else — including |k| > 960
- * (approaching float overflow/subnormal territory) and subnormal or
- * non-finite floats — reports in `peel` for scalar redo.
- */
-inline void
-vexpF(__m256d x, __m128 &out_f, unsigned &peel)
-{
-    const __m256d k = _mm256_round_pd(
-        _mm256_mul_pd(x, _mm256_set1_pd(1.4426950408889634074)),
-        _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-    const __m256d r = _mm256_sub_pd(
-        _mm256_sub_pd(
-            x,
-            _mm256_mul_pd(
-                k, _mm256_set1_pd(6.93147180369123816490e-01))),
-        _mm256_mul_pd(
-            k, _mm256_set1_pd(1.90821492927058770002e-10)));
-
-    __m256d p = _mm256_set1_pd(1.0 / 6227020800.0);
-    p = _mm256_add_pd(_mm256_mul_pd(p, r),
-                      _mm256_set1_pd(1.0 / 479001600.0));
-    p = _mm256_add_pd(_mm256_mul_pd(p, r),
-                      _mm256_set1_pd(1.0 / 39916800.0));
-    p = _mm256_add_pd(_mm256_mul_pd(p, r),
-                      _mm256_set1_pd(1.0 / 3628800.0));
-    p = _mm256_add_pd(_mm256_mul_pd(p, r),
-                      _mm256_set1_pd(1.0 / 362880.0));
-    p = _mm256_add_pd(_mm256_mul_pd(p, r),
-                      _mm256_set1_pd(1.0 / 40320.0));
-    p = _mm256_add_pd(_mm256_mul_pd(p, r),
-                      _mm256_set1_pd(1.0 / 5040.0));
-    p = _mm256_add_pd(_mm256_mul_pd(p, r),
-                      _mm256_set1_pd(1.0 / 720.0));
-    p = _mm256_add_pd(_mm256_mul_pd(p, r),
-                      _mm256_set1_pd(1.0 / 120.0));
-    p = _mm256_add_pd(_mm256_mul_pd(p, r),
-                      _mm256_set1_pd(1.0 / 24.0));
-    p = _mm256_add_pd(_mm256_mul_pd(p, r),
-                      _mm256_set1_pd(1.0 / 6.0));
-    p = _mm256_add_pd(_mm256_mul_pd(p, r),
-                      _mm256_set1_pd(1.0 / 2.0));
-    p = _mm256_add_pd(_mm256_mul_pd(p, r), _mm256_set1_pd(1.0));
-    p = _mm256_add_pd(_mm256_mul_pd(p, r), _mm256_set1_pd(1.0));
-
-    const __m128i ki = _mm256_cvtpd_epi32(k);
-    const __m256d scale = _mm256_castsi256_pd(_mm256_slli_epi64(
-        _mm256_add_epi64(_mm256_cvtepi32_epi64(ki),
-                         _mm256_set1_epi64x(1023)),
-        52));
-    const __m256d y = _mm256_mul_pd(p, scale);
-
-    const __m256d absMask =
-        _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-    const unsigned kBad = static_cast<unsigned>(_mm256_movemask_pd(
-        _mm256_cmp_pd(_mm256_and_pd(k, absMask),
-                      _mm256_set1_pd(960.0), _CMP_GT_OQ)));
-
-    const __m128 f = _mm256_cvtpd_ps(y);
-    const __m256d fd = _mm256_cvtps_pd(f);
-    const __m256i fdBits = _mm256_castpd_si256(fd);
-    const __m256i fdExp = _mm256_and_si256(
-        _mm256_srli_epi64(fdBits, 52), _mm256_set1_epi64x(0x7ff));
-    // Normal, finite float range: biased double exponent in
-    // [897, 1150] (unbiased [-126, 127]).
-    const unsigned fdBad = static_cast<unsigned>(_mm256_movemask_pd(
-        _mm256_castsi256_pd(_mm256_or_si256(
-            _mm256_cmpgt_epi64(_mm256_set1_epi64x(897), fdExp),
-            _mm256_cmpgt_epi64(fdExp,
-                               _mm256_set1_epi64x(1150))))));
-
-    __m256i halfBits = _mm256_slli_epi64(
-        _mm256_sub_epi64(fdExp, _mm256_set1_epi64x(24)), 52);
-    const __m256i mantZero = _mm256_cmpeq_epi64(
-        _mm256_and_si256(fdBits,
-                         _mm256_set1_epi64x(0xfffffffffffffLL)),
-        _mm256_setzero_si256());
-    const __m256i below =
-        _mm256_castpd_si256(_mm256_cmp_pd(y, fd, _CMP_LT_OQ));
-    halfBits = _mm256_blendv_epi8(
-        halfBits,
-        _mm256_slli_epi64(
-            _mm256_sub_epi64(fdExp, _mm256_set1_epi64x(25)), 52),
-        _mm256_and_si256(mantZero, below));
-
-    const __m256d err =
-        _mm256_and_pd(_mm256_sub_pd(y, fd), absMask);
-    const __m256d slack = _mm256_mul_pd(
-        _mm256_and_pd(y, absMask), _mm256_set1_pd(1e-13));
-    const unsigned unsure = static_cast<unsigned>(_mm256_movemask_pd(
-        _mm256_cmp_pd(
-            _mm256_sub_pd(_mm256_castsi256_pd(halfBits), err),
-            slack, _CMP_LE_OQ)));
-
-    peel = (kBad | fdBad | unsure) & 0xfu;
-    out_f = f;
-}
-
 /** One vector ziggurat draw: z values plus the fast-path accepts. */
 struct Zig4
 {
@@ -471,7 +340,7 @@ struct Zig4
 };
 
 /**
- * Lane-wise Random::normalZig() fast path: same raw draw, same
+ * Lane-wise Random::normalZig() fast path on four raw draws: same
  * exact u conversion (the scalar cast is exact below 2^53), same
  * table loads and single multiply, so accepted lanes carry the
  * scalar values bit for bit. Rejecting lanes (and any lane of a
@@ -480,9 +349,8 @@ struct Zig4
  * is exact.
  */
 inline Zig4
-zigDraw4(VXoshiro &g, const pcmscrub::detail::ZigTables &t)
+zigDraw4(__m256i bits, const pcmscrub::detail::ZigTables &t)
 {
-    const __m256i bits = g.next();
     const __m256i layer =
         _mm256_and_si256(bits, _mm256_set1_epi64x(127));
     const __m256d u = _mm256_mul_pd(
@@ -502,25 +370,40 @@ zigDraw4(VXoshiro &g, const pcmscrub::detail::ZigTables &t)
 }
 
 /**
- * Four manufacturing streams seeded like Random::stream(seed,
- * sid_base + (i + lane) << 8): the stream-id mix and the four-word
- * constructor expansion run lane-wise.
+ * The first one or two raw draws of four manufacturing streams,
+ * Random::stream(seed, sid_base + ((i + lane) << 8)). Random's
+ * constructor expands the combined seed into s0..s3 by four
+ * splitmix64 steps; the first next() returns the scrambled s1 and
+ * the second the scrambled s1 ^ s2 ^ s0 (next() applies s2 ^= s0,
+ * then s1 ^= s2), so s3 is never expanded and s0, s2 only when a
+ * second draw is wanted (`second` is zero otherwise). A lane that
+ * goes on past the fast path is redone through a full scalar
+ * Random::stream.
  */
-inline VXoshiro
-manufStreams4(std::uint64_t seed, std::uint64_t sid_base,
-              std::size_t i)
+inline void
+manufRaw4(std::uint64_t seed, std::uint64_t sid_base, std::size_t i,
+          bool two, __m256i &first, __m256i &second)
 {
+    second = _mm256_setzero_si256();
     const __m256i sid = _mm256_add_epi64(
         _mm256_set1_epi64x(static_cast<long long>(
             sid_base + (static_cast<std::uint64_t>(i) << 8))),
         _mm256_setr_epi64x(0, 1 << 8, 2 << 8, 3 << 8));
-    __m256i sm = _mm256_xor_si256(
-        sid, _mm256_set1_epi64x(static_cast<long long>(
-                 0xa0761d6478bd642fULL)));
-    const __m256i mixed = vsplitmix(sm);
+    const __m256i mixed = vsplitmix(
+        _mm256_xor_si256(sid,
+                         _mm256_set1_epi64x(static_cast<long long>(
+                             0xa0761d6478bd642fULL))),
+        1);
     const __m256i combined = _mm256_xor_si256(
         _mm256_set1_epi64x(static_cast<long long>(seed)), mixed);
-    return VXoshiro::seeded(combined);
+    const __m256i s1 = vsplitmix(combined, 2);
+    first = vstarstar(s1);
+    if (two) {
+        const __m256i s0 = vsplitmix(combined, 1);
+        const __m256i s2 = vsplitmix(combined, 3);
+        second = vstarstar(
+            _mm256_xor_si256(s1, _mm256_xor_si256(s2, s0)));
+    }
 }
 
 /**
@@ -666,100 +549,106 @@ manufZScoresAvx2(std::uint64_t seed, std::uint64_t sid_base,
 {
     const pcmscrub::detail::ZigTables &t =
         pcmscrub::detail::zigTables();
-    std::size_t i = 0;
-    for (; i + 4 <= count; i += 4) {
-        VXoshiro g = manufStreams4(seed, sid_base, i);
-        const Zig4 zE = zigDraw4(g, t);
-        unsigned ok = zE.accept;
-        _mm256_storeu_pd(z_e + i, zE.z);
-        if (z_s != nullptr) {
-            const Zig4 zS = zigDraw4(g, t);
-            ok &= zS.accept;
-            _mm256_storeu_pd(z_s + i, zS.z);
-        }
-        unsigned pending = ~ok & 0xfu;
-        while (pending != 0) {
-            const unsigned lane =
-                static_cast<unsigned>(__builtin_ctz(pending));
-            pending &= pending - 1;
-            const std::size_t c = i + lane;
-            Random manuf = Random::stream(
-                seed,
-                sid_base + (static_cast<std::uint64_t>(c) << 8));
-            z_e[c] = manuf.normalZig();
-            if (z_s != nullptr)
-                z_s[c] = manuf.normalZig();
-        }
-    }
-    for (; i < count; ++i) {
+    // Per 64-cell chunk: the raw draws first, then the ziggurat fast
+    // path, each in a loop of its own (short loop bodies let the
+    // seeding's long multiply chains overlap), then the redo of
+    // rejected lanes, kept out of the vector loops so a rarely taken
+    // branch cannot stall them.
+    const auto redoCell = [&](std::size_t c) {
         Random manuf = Random::stream(
-            seed, sid_base + (static_cast<std::uint64_t>(i) << 8));
-        z_e[i] = manuf.normalZig();
+            seed, sid_base + (static_cast<std::uint64_t>(c) << 8));
+        z_e[c] = manuf.normalZig();
         if (z_s != nullptr)
-            z_s[i] = manuf.normalZig();
+            z_s[c] = manuf.normalZig();
+    };
+    const std::size_t n4 = count & ~static_cast<std::size_t>(3);
+    std::size_t i = 0;
+    while (i < n4) {
+        const std::size_t end = n4 - i < 64 ? n4 : i + 64;
+        alignas(32) std::uint64_t first[64], second[64];
+        for (std::size_t j = i; j < end; j += 4) {
+            __m256i r1, r2;
+            manufRaw4(seed, sid_base, j, z_s != nullptr, r1, r2);
+            _mm256_store_si256(
+                reinterpret_cast<__m256i *>(first + (j - i)), r1);
+            _mm256_store_si256(
+                reinterpret_cast<__m256i *>(second + (j - i)), r2);
+        }
+        std::uint64_t redo = 0;
+        for (std::size_t j = i; j < end; j += 4) {
+            const Zig4 zE = zigDraw4(
+                _mm256_load_si256(
+                    reinterpret_cast<const __m256i *>(first + (j - i))),
+                t);
+            unsigned ok = zE.accept;
+            _mm256_storeu_pd(z_e + j, zE.z);
+            if (z_s != nullptr) {
+                const Zig4 zS = zigDraw4(
+                    _mm256_load_si256(reinterpret_cast<const __m256i *>(
+                        second + (j - i))),
+                    t);
+                ok &= zS.accept;
+                _mm256_storeu_pd(z_s + j, zS.z);
+            }
+            redo |= static_cast<std::uint64_t>(~ok & 0xfu)
+                << (j - i);
+        }
+        for (; redo != 0; redo &= redo - 1)
+            redoCell(i + static_cast<std::size_t>(__builtin_ctzll(redo)));
+        i = end;
+    }
+    for (; i < count; ++i)
+        redoCell(i);
+}
+
+namespace {
+
+/**
+ * dst[0..count) = vlogPos of src's values as doubles, four at a step
+ * (the tail through a padded copy); `positive` blends values <= 0 to
+ * 1 first, so they read ln 1 = 0.
+ */
+template <class T, bool positive>
+void
+lnValues(const T *src, std::size_t count, double *dst)
+{
+    const auto ln4 = [](const T *x) {
+        __m256d v;
+        if constexpr (std::is_same_v<T, float>)
+            v = _mm256_cvtps_pd(_mm_loadu_ps(x));
+        else
+            v = _mm256_loadu_pd(x);
+        if constexpr (positive) {
+            v = _mm256_blendv_pd(
+                _mm256_set1_pd(1.0), v,
+                _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_GT_OQ));
+        }
+        return vlogPos(v);
+    };
+    std::size_t i = 0;
+    for (; i + 4 <= count; i += 4)
+        _mm256_storeu_pd(dst + i, ln4(src + i));
+    if (i < count) {
+        T tail[4] = {T(1), T(1), T(1), T(1)};
+        std::memcpy(tail, src + i, (count - i) * sizeof(T));
+        double out[4];
+        _mm256_storeu_pd(out, ln4(tail));
+        std::memcpy(dst + i, out, (count - i) * sizeof(double));
     }
 }
 
+} // namespace
+
 void
-manufDeriveAvx2(std::uint64_t seed, std::uint64_t sid_base,
-                std::size_t count, double log_median_e,
-                double sigma_e, double sigma_s, float *endurance,
-                float *nu_speed)
+lnFloatsAvx2(const float *src, std::size_t count, double *dst)
 {
-    const pcmscrub::detail::ZigTables &t =
-        pcmscrub::detail::zigTables();
-    const __m256d medE = _mm256_set1_pd(log_median_e);
-    const __m256d sigE = _mm256_set1_pd(sigma_e);
-    const __m256d sigS = _mm256_set1_pd(sigma_s);
-    std::size_t i = 0;
-    for (; i + 4 <= count; i += 4) {
-        VXoshiro g = manufStreams4(seed, sid_base, i);
-        const Zig4 zE = zigDraw4(g, t);
-        unsigned ok = zE.accept;
-        __m128 fE;
-        unsigned peelE;
-        vexpF(_mm256_add_pd(medE, _mm256_mul_pd(sigE, zE.z)), fE,
-              peelE);
-        ok &= ~peelE;
-        __m128 fS;
-        if (sigma_s != 0.0) {
-            const Zig4 zS = zigDraw4(g, t);
-            ok &= zS.accept;
-            unsigned peelS;
-            vexpF(_mm256_mul_pd(sigS, zS.z), fS, peelS);
-            ok &= ~peelS;
-        } else {
-            fS = _mm_set1_ps(1.0f);
-        }
-        _mm_storeu_ps(endurance + i, fE);
-        _mm_storeu_ps(nu_speed + i, fS);
-        unsigned pending = ~ok & 0xfu;
-        while (pending != 0) {
-            const unsigned lane =
-                static_cast<unsigned>(__builtin_ctz(pending));
-            pending &= pending - 1;
-            const std::size_t c = i + lane;
-            Random manuf = Random::stream(
-                seed,
-                sid_base + (static_cast<std::uint64_t>(c) << 8));
-            endurance[c] = static_cast<float>(std::exp(
-                log_median_e + sigma_e * manuf.normalZig()));
-            nu_speed[c] = sigma_s == 0.0
-                ? 1.0f
-                : static_cast<float>(
-                      std::exp(sigma_s * manuf.normalZig()));
-        }
-    }
-    for (; i < count; ++i) {
-        Random manuf = Random::stream(
-            seed, sid_base + (static_cast<std::uint64_t>(i) << 8));
-        endurance[i] = static_cast<float>(
-            std::exp(log_median_e + sigma_e * manuf.normalZig()));
-        nu_speed[i] = sigma_s == 0.0
-            ? 1.0f
-            : static_cast<float>(
-                  std::exp(sigma_s * manuf.normalZig()));
-    }
+    lnValues<float, false>(src, count, dst);
+}
+
+void
+lnPositiveAvx2(const double *src, std::size_t count, double *dst)
+{
+    lnValues<double, true>(src, count, dst);
 }
 
 void
@@ -799,8 +688,14 @@ warmTransformAvx2(const detail::WarmTransformArgs &a)
         const unsigned l3 =
             grayToLevel(static_cast<std::uint8_t>((gb >> 6) & 3u));
 
-        const __m256d z1 = _mm256_loadu_pd(a.z1 + i);
-        const __m256d z2 = _mm256_loadu_pd(a.z2 + i);
+        // Four (z1, z2) pairs, de-interleaved: unpack gives lanes
+        // in 0, 2, 1, 3 order, the permute restores 0..3.
+        const __m256d p01 = _mm256_loadu_pd(a.zLine + 2 * i);
+        const __m256d p23 = _mm256_loadu_pd(a.zLine + 2 * i + 4);
+        const __m256d z1 = _mm256_permute4x64_pd(
+            _mm256_unpacklo_pd(p01, p23), 0xd8);
+        const __m256d z2 = _mm256_permute4x64_pd(
+            _mm256_unpackhi_pd(p01, p23), 0xd8);
         const __m256d zE = _mm256_loadu_pd(a.zE + i);
 
         // logRq: lround(logRScale * z1) + 128, clamped — the round,
@@ -897,11 +792,32 @@ programTransformAvx2(const detail::ProgramTransformArgs &a,
     const __m256d v255 = _mm256_set1_pd(255.0);
     const __m256d v254 = _mm256_set1_pd(254.0);
     const __m256d step = _mm256_set1_pd(a.logR0Step);
-    const __m256d nuMin = _mm256_set1_pd(a.nuMin);
-    const __m256d nuMax = _mm256_set1_pd(a.nuMax);
+    const __m256d medE = _mm256_set1_pd(a.logMedianE);
+    const __m256d sigE = _mm256_set1_pd(a.sigmaE);
+    const __m256d sigS = _mm256_set1_pd(a.sigmaS);
+    const __m256d lnMin = _mm256_set1_pd(a.lnNuMin);
+    const __m256d lnMax = _mm256_set1_pd(a.lnNuMax);
     const __m256d invStep = _mm256_set1_pd(a.invNuLogStep);
-    const __m256d tieCut = _mm256_set1_pd(0.5 - 1e-6);
-    const unsigned lastLevel = mlcLevels - 1;
+    const __m256d margin = _mm256_set1_pd(detail::kProgramLnMargin);
+    // The quantizer sees the ln margin scaled by its step, plus
+    // slack for the scalar's own division/log/multiply roundings.
+    const __m256d tieCut = _mm256_set1_pd(
+        0.5 - (detail::kProgramLnMargin * a.invNuLogStep + 1e-9));
+    // ln of the smallest normal float: a drift-speed float outside
+    // +-this (subnormal, zero, infinite), or a nu float below it,
+    // rounds with more than the margin's relative error. The floor
+    // also catches every subnormal dNu, which vlogPos reads as about
+    // -708.
+    const double lnFltMin =
+        std::log(static_cast<double>(std::numeric_limits<float>::min()));
+    const __m256d lnFloor = _mm256_set1_pd(lnFltMin);
+    const __m256d lnSCap = _mm256_set1_pd(-lnFltMin);
+    const __m256 meanTable =
+        _mm256_castpd_ps(_mm256_loadu_pd(a.meanLogR));
+    // A uniform line shares one post-write count, so one libm log
+    // covers every lane.
+    const __m256d lnWUniform = _mm256_set1_pd(
+        std::log(static_cast<double>(a.uniformWrites + 1u)));
 
     __m256i iterSum = _mm256_setzero_si256();
     unsigned programmed = 0;
@@ -914,131 +830,150 @@ programTransformAvx2(const detail::ProgramTransformArgs &a,
         std::memcpy(&aliveWord, a.alive + i, 4);
         if (aliveWord == 0)
             continue; // All four stuck: nothing stored, no draws.
-        const __m256i aliveMask = _mm256_cmpgt_epi64(
+        const __m256d aliveM = _mm256_castsi256_pd(_mm256_cmpgt_epi64(
             _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(
                 static_cast<int>(aliveWord))),
-            _mm256_setzero_si256());
-        const unsigned am = static_cast<unsigned>(
-            _mm256_movemask_pd(_mm256_castsi256_pd(aliveMask)));
-        const unsigned l0 = a.level[i];
-        const unsigned l1 = a.level[i + 1];
-        const unsigned l2 = a.level[i + 2];
-        const unsigned l3 = a.level[i + 3];
-
-        // Iterations: exact round/clamp, 1 for extreme levels.
-        const __m256i interMask = _mm256_setr_epi64x(
-            l0 != 0 && l0 != lastLevel ? -1 : 0,
-            l1 != 0 && l1 != lastLevel ? -1 : 0,
-            l2 != 0 && l2 != lastLevel ? -1 : 0,
-            l3 != 0 && l3 != lastLevel ? -1 : 0);
-        __m256d iter =
-            vroundHalfAway(_mm256_loadu_pd(a.dIter + i));
-        iter = _mm256_min_pd(_mm256_max_pd(iter, one), maxIter);
-        iter = _mm256_blendv_pd(one, iter,
-                                _mm256_castsi256_pd(interMask));
-        iterSum = _mm256_add_epi64(
-            iterSum,
-            _mm256_and_si256(
-                _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(iter)),
-                aliveMask));
-        programmed +=
-            static_cast<unsigned>(__builtin_popcount(am));
+            _mm256_setzero_si256()));
+        const unsigned am =
+            static_cast<unsigned>(_mm256_movemask_pd(aliveM));
+        std::uint32_t levelWord;
+        std::memcpy(&levelWord, a.level + i, 4);
+        const __m256i lv = _mm256_cvtepu8_epi64(
+            _mm_cvtsi32_si128(static_cast<int>(levelWord)));
 
         // logR0: the float round-trip then encodeLogR0's
         // delta/step quantizer — every op the scalar's own, so no
-        // peel is needed here.
+        // peel is needed here (a peeled lane stores the same byte).
+        // meanLogR[level] is a register permute: 32-bit halves 2l
+        // and 2l + 1 of the four-double table.
         const __m256d fd = _mm256_cvtps_pd(
             _mm256_cvtpd_ps(_mm256_loadu_pd(a.dLogR + i)));
-        const __m256d mean = _mm256_setr_pd(
-            a.meanLogR[l0], a.meanLogR[l1], a.meanLogR[l2],
-            a.meanLogR[l3]);
+        const __m256i half = _mm256_slli_epi64(lv, 1);
+        const __m256d mean = _mm256_castps_pd(_mm256_permutevar8x32_ps(
+            meanTable,
+            _mm256_or_si256(
+                half, _mm256_slli_epi64(
+                          _mm256_add_epi64(half, _mm256_set1_epi64x(1)),
+                          32))));
         __m256d code = vroundHalfAway(
             _mm256_div_pd(_mm256_sub_pd(fd, mean), step));
         code = _mm256_min_pd(
             _mm256_max_pd(_mm256_add_pd(code, bias), zero), v255);
         storeBytes4(a.logRq + i, code, am);
 
-        // nu float: nuSpeed * max(0, dNu) with the scalar's operand
-        // order (max returns 0 on NaN second… the draws are finite;
-        // the order still mirrors std::max(0.0, x)).
-        const __m256d nuSpd =
-            _mm256_cvtps_pd(_mm_loadu_ps(a.nuSpeedF + i));
-        const __m256d nuD =
-            _mm256_max_pd(_mm256_loadu_pd(a.dNu + i), zero);
-        const __m256d nufd = _mm256_cvtps_pd(
-            _mm256_cvtpd_ps(_mm256_mul_pd(nuSpd, nuD)));
-
-        // Post-increment write counts and the wear-out compare —
-        // both conversions exact, compare identical to scalar.
+        // Wear-out: float(exp(lnE)) <= writes + 1 decided as
+        // lnE <= ln(writes + 1); lanes within the margin, or whose
+        // u32 count wrapped to zero, peel.
         __m128i w32 = a.ovWrites != nullptr
             ? _mm_loadu_si128(
                   reinterpret_cast<const __m128i *>(a.ovWrites + i))
             : _mm_set1_epi32(static_cast<int>(a.uniformWrites));
         w32 = _mm_add_epi32(w32, _mm_set1_epi32(1));
-        const __m256d wd =
-            u64ToDouble53(_mm256_cvtepu32_epi64(w32));
-        const __m256d endD =
-            _mm256_cvtps_pd(_mm_loadu_ps(a.enduranceF + i));
-        const __m256d wornM = _mm256_cmp_pd(wd, endD, _CMP_GE_OQ);
-        const unsigned wm = static_cast<unsigned>(
-            _mm256_movemask_pd(wornM));
-        wornOut += static_cast<unsigned>(__builtin_popcount(
-            wm & am));
+        const __m256d wd = u64ToDouble53(_mm256_cvtepu32_epi64(w32));
+        const __m256d lnW =
+            a.ovWrites != nullptr ? vlogPos(wd) : lnWUniform;
+        const __m256d lnE = _mm256_add_pd(
+            medE, _mm256_mul_pd(sigE, _mm256_loadu_pd(a.zE + i)));
+        const __m256d wornM = _mm256_cmp_pd(lnE, lnW, _CMP_LE_OQ);
+        __m256d peelM = _mm256_or_pd(
+            _mm256_cmp_pd(
+                _mm256_and_pd(_mm256_sub_pd(lnE, lnW), absMask),
+                margin, _CMP_NGE_UQ),
+            _mm256_cmp_pd(wd, zero, _CMP_EQ_OQ));
 
-        // encodeNu: the envelope compares are exact (linear-domain
-        // doubles, the scalar's own); only the interior log-domain
-        // quantizer can sit on a tie, and those lanes peel.
-        const __m256d posM = _mm256_cmp_pd(nufd, zero, _CMP_GT_OQ);
-        const __m256d geM = _mm256_cmp_pd(nufd, nuMax, _CMP_GE_OQ);
-        const __m256d leM = _mm256_cmp_pd(nufd, nuMin, _CMP_LE_OQ);
-        const __m256d interiorM = _mm256_andnot_pd(
-            geM, _mm256_andnot_pd(leM, posM));
-        const unsigned interior = static_cast<unsigned>(
-            _mm256_movemask_pd(interiorM));
-        const __m256d q = _mm256_div_pd(nufd, nuMin);
-        const __m256d qSafe = _mm256_blendv_pd(one, q, interiorM);
+        // nu = float(float(exp(lnS)) * max(0, dNu)) is encoded from
+        // ln nu ~ lnS + ln(dNu). dNu <= 0 gives code 0 in lanes, as
+        // the scalar's max(0, .) does; lanes near the envelope, out
+        // of the normal float range, or near a quantizer half-step
+        // peel. Worn lanes store the sentinel whatever nu is.
+        const __m256d lnS = a.zS == nullptr
+            ? zero
+            : _mm256_mul_pd(sigS, _mm256_loadu_pd(a.zS + i));
+        const __m256d dNu = _mm256_loadu_pd(a.dNu + i);
+        const __m256d posM = _mm256_cmp_pd(dNu, zero, _CMP_GT_OQ);
+        const __m256d lnV =
+            _mm256_add_pd(lnS, _mm256_loadu_pd(a.lnDNu + i));
+        __m256d nuPeelM = _mm256_cmp_pd(
+            _mm256_and_pd(_mm256_sub_pd(lnV, lnMax), absMask), margin,
+            _CMP_NGE_UQ);
+        nuPeelM = _mm256_or_pd(
+            nuPeelM,
+            _mm256_cmp_pd(
+                _mm256_and_pd(_mm256_sub_pd(lnV, lnMin), absMask),
+                margin, _CMP_NGE_UQ));
+        nuPeelM = _mm256_or_pd(
+            nuPeelM, _mm256_cmp_pd(lnV, lnFloor, _CMP_NGE_UQ));
+        nuPeelM = _mm256_or_pd(
+            nuPeelM, _mm256_cmp_pd(_mm256_and_pd(lnS, absMask),
+                                   lnSCap, _CMP_NLT_UQ));
+        const __m256d geM = _mm256_cmp_pd(lnV, lnMax, _CMP_GE_OQ);
+        const __m256d leM = _mm256_cmp_pd(lnV, lnMin, _CMP_LE_OQ);
         const __m256d tq =
-            _mm256_mul_pd(vlogPos(qSafe), invStep);
+            _mm256_mul_pd(_mm256_sub_pd(lnV, lnMin), invStep);
         const __m256d rq = vroundHalfAway(tq);
-        const unsigned tiePeel = am & ~wm & interior &
-            static_cast<unsigned>(_mm256_movemask_pd(_mm256_cmp_pd(
-                _mm256_and_pd(_mm256_sub_pd(tq, rq), absMask),
-                tieCut, _CMP_GT_OQ)));
+        const __m256d interiorM =
+            _mm256_andnot_pd(geM, _mm256_andnot_pd(leM, posM));
+        nuPeelM = _mm256_or_pd(
+            nuPeelM,
+            _mm256_and_pd(
+                interiorM,
+                _mm256_cmp_pd(
+                    _mm256_and_pd(_mm256_sub_pd(tq, rq), absMask),
+                    tieCut, _CMP_GT_OQ)));
+        peelM = _mm256_or_pd(
+            peelM,
+            _mm256_andnot_pd(wornM, _mm256_and_pd(posM, nuPeelM)));
+        const __m256d keepM = _mm256_andnot_pd(peelM, aliveM);
+        const unsigned keep =
+            static_cast<unsigned>(_mm256_movemask_pd(keepM));
 
         __m256d nuVal = _mm256_min_pd(
             _mm256_max_pd(_mm256_add_pd(rq, one), one), v254);
         nuVal = _mm256_blendv_pd(nuVal, one, leM);
         nuVal = _mm256_blendv_pd(nuVal, v254, geM);
-        nuVal = _mm256_and_pd(nuVal, posM); // !(nu > 0) -> code 0
+        nuVal = _mm256_and_pd(nuVal, posM); // dNu <= 0 -> code 0
         nuVal = _mm256_blendv_pd(nuVal, v255, wornM);
-        storeBytes4(a.nuIdx + i, nuVal, am & ~tiePeel);
+        storeBytes4(a.nuIdx + i, nuVal, keep);
 
-        unsigned pending = tiePeel;
+        // Iterations: exact round/clamp, 1 for extreme levels.
+        static_assert(mlcLevels == 4, "intermediate levels are 1, 2");
+        const __m256d interM = _mm256_castsi256_pd(_mm256_or_si256(
+            _mm256_cmpeq_epi64(lv, _mm256_set1_epi64x(1)),
+            _mm256_cmpeq_epi64(lv, _mm256_set1_epi64x(2))));
+        __m256d iter =
+            vroundHalfAway(_mm256_loadu_pd(a.dIter + i));
+        iter = _mm256_min_pd(_mm256_max_pd(iter, one), maxIter);
+        iter = _mm256_blendv_pd(one, iter, interM);
+        iterSum = _mm256_add_epi64(
+            iterSum,
+            _mm256_and_si256(
+                _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(iter)),
+                _mm256_castpd_si256(keepM)));
+        programmed += static_cast<unsigned>(__builtin_popcount(keep));
+        wornOut += static_cast<unsigned>(__builtin_popcount(
+            static_cast<unsigned>(_mm256_movemask_pd(wornM)) & keep));
+
+        if (a.ovWrites != nullptr) {
+            const __m128i keep32 =
+                _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+                    _mm256_castpd_si256(keepM),
+                    _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0)));
+            _mm_maskstore_epi32(
+                reinterpret_cast<int *>(a.ovWrites + i), keep32, w32);
+            _mm256_maskstore_epi64(
+                reinterpret_cast<long long *>(a.ovTicks + i),
+                _mm256_castpd_si256(keepM),
+                _mm256_set1_epi64x(static_cast<long long>(a.now)));
+        }
+
+        // Peeled lanes: the whole cell through the scalar transform
+        // (it reads the overlay count the vector path left alone).
+        unsigned pending = am & ~keep;
         while (pending != 0) {
             const unsigned lane =
                 static_cast<unsigned>(__builtin_ctz(pending));
             pending &= pending - 1;
-            const std::size_t c = i + lane;
-            const float nu = static_cast<float>(
-                static_cast<double>(a.nuSpeedF[c]) *
-                std::max(0.0, a.dNu[c]));
-            a.nuIdx[c] = detail::encodeNuValue(
-                nu, a.nuMin, a.nuMax, a.invNuLogStep);
-        }
-
-        if (a.ovWrites != nullptr) {
-            const __m128i storeMask = _mm_cmpgt_epi32(
-                _mm_cvtepu8_epi32(_mm_cvtsi32_si128(
-                    static_cast<int>(aliveWord))),
-                _mm_setzero_si128());
-            _mm_maskstore_epi32(
-                reinterpret_cast<int *>(a.ovWrites + i), storeMask,
-                w32);
-            _mm256_maskstore_epi64(
-                reinterpret_cast<long long *>(a.ovTicks + i),
-                aliveMask,
-                _mm256_set1_epi64x(
-                    static_cast<long long>(a.now)));
+            detail::programTransformCell(a, i + lane, stats);
         }
     }
 
@@ -1083,8 +1018,13 @@ manufZScoresAvx2(std::uint64_t, std::uint64_t, std::size_t, double *,
 }
 
 void
-manufDeriveAvx2(std::uint64_t, std::uint64_t, std::size_t, double,
-                double, double, float *, float *)
+lnFloatsAvx2(const float *, std::size_t, double *)
+{
+    fatal("AVX2 kernels not compiled into this build");
+}
+
+void
+lnPositiveAvx2(const double *, std::size_t, double *)
 {
     fatal("AVX2 kernels not compiled into this build");
 }

@@ -38,10 +38,10 @@ namespace detail {
  */
 struct ProgramScratch
 {
-    std::vector<double> z1, z2;     //!< warm line-stream z-scores
+    std::vector<double> draws;      //!< line-stream normals
     std::vector<double> zE, zS;     //!< manufacturing z-scores
     std::vector<double> dIter, dLogR, dNu; //!< rewrite draw results
-    std::vector<float> nuSpeedF, enduranceF;
+    std::vector<double> lnDNu;      //!< ln(dNu), 0 where dNu <= 0
     std::vector<std::uint8_t> level, alive;
 };
 
@@ -78,7 +78,7 @@ encodeNuValue(float value, double nu_min, double nu_max,
 /**
  * Stage-B inputs of the warm-up pipeline: the Gray plane already
  * holds the target codeword, the z-score buffers hold this line's
- * draws in scalar order (z1/z2 from the line stream, zE/zS from the
+ * draws in scalar order (zLine from the line stream, zE/zS from the
  * per-cell manufacturing streams; zS is null when the drift-speed
  * sigma is zero and no draw was taken). The transform writes logRq
  * and nuIdx only — pure function of the buffers, no RNG.
@@ -88,8 +88,7 @@ struct WarmTransformArgs
     const std::uint8_t *gray;
     std::uint8_t *logRq;
     std::uint8_t *nuIdx;
-    const double *z1;
-    const double *z2;
+    const double *zLine; //!< (logR0, drift) z-score pair per cell
     const double *zE;
     const double *zS;
     std::size_t count;
@@ -120,7 +119,9 @@ warmTransformCell(const WarmTransformArgs &a, std::size_t i)
     // logR0 = mean[level] + sigma * z1 and the code is the
     // step-quantized delta from that same mean (sigma/step hoisted
     // to one multiply).
-    const long code = std::lround(a.logRScale * a.z1[i]) +
+    const double z1 = a.zLine[2 * i];
+    const double z2 = a.zLine[2 * i + 1];
+    const long code = std::lround(a.logRScale * z1) +
         QuantSpec::kLogR0Bias;
     a.logRq[i] =
         static_cast<std::uint8_t>(std::clamp(code, 0L, 255L));
@@ -140,7 +141,7 @@ warmTransformCell(const WarmTransformArgs &a, std::size_t i)
     // nu = nuSpeed * max(0, mu[level] + sigma(level) * z2), encoded
     // in the log domain (encodeNu's clamp structure on ln nu) so no
     // exp is ever needed.
-    const double w = a.driftMu[level] + a.driftSig[level] * a.z2[i];
+    const double w = a.driftMu[level] + a.driftSig[level] * z2;
     if (w <= 0.0) {
         a.nuIdx[i] = 0;
         return;
@@ -159,15 +160,32 @@ warmTransformCell(const WarmTransformArgs &a, std::size_t i)
 }
 
 /**
+ * Guard margin, in ln units, of the rewrite transform's log-domain
+ * decisions. The scalar reference rounds to float twice on the way
+ * to a stored nu (the drift-speed float, then the product), each
+ * within a relative 2^-24, so its ln nu sits within 2^-23 =
+ * 1.19209e-7 of lnS + ln(dNu); libm's exp/log and vlogPos add under
+ * 1e-12. The endurance compare sees one float rounding. Lanes whose
+ * decision lies closer than this to a boundary peel to the scalar
+ * transform.
+ */
+constexpr double kProgramLnMargin = 1.2e-7;
+
+/**
  * Stage-B inputs of the batched rewrite pipeline. Stage A decoded
  * the target levels, deposited them in the Gray plane (stuck cells'
- * frozen symbols preserved), and consumed the line stream in scalar
- * order into dIter/dLogR/dNu (dIter only for intermediate levels —
- * the scalar path draws it first). nuSpeedF/enduranceF hold each
- * cell's manufacturing floats (aux planes or derived); ovWrites /
- * ovTicks point into the materialized overlay, or are null when the
- * line stays on its uniform clock (then uniformWrites is the shared
- * pre-write count).
+ * frozen symbols preserved), and drew the line stream in scalar
+ * order into dIter/dLogR/dNu (dIter is meaningful for intermediate
+ * levels only — the scalar path draws it first). The manufacturing
+ * state arrives in the log domain: lnE = logMedianE + sigmaE * zE
+ * and lnS = sigmaS * zS (zS null: lnS = 0) — the exact doubles
+ * sampleManufacturing feeds to exp for compact storage. Aux-mode
+ * storage passes the ln of its stored floats with an identity
+ * affine map (0, 1, 1) and the floats themselves in auxEndurance /
+ * auxNuSpeed, which the scalar transform reads instead of deriving.
+ * ovWrites / ovTicks point into the materialized overlay, or are
+ * null when the line stays on its uniform clock (then uniformWrites
+ * is the shared pre-write count).
  */
 struct ProgramTransformArgs
 {
@@ -178,18 +196,26 @@ struct ProgramTransformArgs
     const double *dIter;
     const double *dLogR;
     const double *dNu;
-    const float *nuSpeedF;
-    const float *enduranceF;
+    const double *lnDNu; //!< vector path only: ln(dNu), 0 if dNu <= 0
+    const double *zE;
+    const double *zS;
+    const float *auxEndurance;
+    const float *auxNuSpeed;
     std::uint32_t *ovWrites;
     Tick *ovTicks;
     std::size_t count;
     Tick now;
     std::uint32_t uniformWrites;
+    double logMedianE;
+    double sigmaE;
+    double sigmaS;
     double maxIterations;
     double meanLogR[mlcLevels];
     double logR0Step;
     double nuMin;
     double nuMax;
+    double lnNuMin;
+    double lnNuMax;
     double invNuLogStep;
 };
 
@@ -197,8 +223,11 @@ struct ProgramTransformArgs
  * Scalar stage B of one rewritten cell: CellModel::program's
  * arithmetic on the pre-drawn values followed by storePhysics'
  * encodes, fused so the float round-trips happen exactly once each,
- * in the model's order. meanLogR[level] is the same double
- * QuantSpec keys by Gray code (meanByGray[gray] is defined as
+ * in the model's order. The manufacturing floats are
+ * sampleManufacturing's float(exp(...)) of the same doubles (or the
+ * aux planes' stored floats), so they equal what loadCell would
+ * derive. meanLogR[level] is the same double QuantSpec keys by Gray
+ * code (meanByGray[gray] is defined as
  * levelMeanLogR[grayToLevel(gray)]), so the encode delta is
  * bit-identical to encodeLogR0's. Oracle and tail/peel path of
  * programTransformAvx2.
@@ -209,6 +238,17 @@ programTransformCell(const ProgramTransformArgs &a, std::size_t i,
 {
     if (!a.alive[i])
         return;
+    float enduranceF, nuSpeedF;
+    if (a.auxEndurance != nullptr) {
+        enduranceF = a.auxEndurance[i];
+        nuSpeedF = a.auxNuSpeed[i];
+    } else {
+        enduranceF = static_cast<float>(
+            std::exp(a.logMedianE + a.sigmaE * a.zE[i]));
+        nuSpeedF = a.zS == nullptr
+            ? 1.0f
+            : static_cast<float>(std::exp(a.sigmaS * a.zS[i]));
+    }
     const unsigned level = a.level[i];
     unsigned iterations = 1;
     if (level != 0 && level != mlcLevels - 1) {
@@ -224,13 +264,12 @@ programTransformCell(const ProgramTransformArgs &a, std::size_t i,
         static_cast<std::uint8_t>(std::clamp(code, 0L, 255L));
 
     const float nu = static_cast<float>(
-        static_cast<double>(a.nuSpeedF[i]) *
-        std::max(0.0, a.dNu[i]));
+        static_cast<double>(nuSpeedF) * std::max(0.0, a.dNu[i]));
     const std::uint32_t writes =
         (a.ovWrites != nullptr ? a.ovWrites[i] : a.uniformWrites) +
         1;
     const bool worn = static_cast<double>(writes) >=
-        static_cast<double>(a.enduranceF[i]);
+        static_cast<double>(enduranceF);
     a.nuIdx[i] = worn
         ? QuantSpec::kStuckNuIdx
         : encodeNuValue(nu, a.nuMin, a.nuMax, a.invNuLogStep);

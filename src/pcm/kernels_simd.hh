@@ -1,10 +1,11 @@
 /**
  * @file
- * Internal interface of the AVX2 sense/margin kernels
- * (kernels_avx2.cc). Not installed API: only kernels.cc dispatches
- * through it, and only when simd::enabled() and the shape fits the
- * vector path (MLC line, uniform write clock). Results are
- * bit-identical to the scalar loops in kernels.cc —
+ * Internal interface of the AVX2 kernels (kernels_avx2.cc). Not
+ * installed API: only kernels.cc dispatches through it, and only
+ * when simd::enabled() and the shape fits the vector path (MLC
+ * line; the sense and margin kernels also need a uniform write
+ * clock). Results are bit-identical to the scalar loops in
+ * kernels.cc and kernels_impl.hh —
  * simd_oracle_test compares the two paths on random planes.
  */
 
@@ -49,28 +50,34 @@ unsigned marginScanCountAvx2(const CellConstSpan &cells,
 /**
  * Batched manufacturing z-scores: for cells 0..count-1 runs the
  * per-cell stream Random::stream(seed, sid_base + (i << 8)) four
- * lanes at a time (vector splitmix64 seeding + xoshiro256** +
+ * lanes at a time (vector splitmix64 seeding of only the state
+ * words the first one or two draws read + xoshiro256** scrambler +
  * ziggurat fast path) and stores the endurance z-score in z_e[i]
  * and, when z_s is non-null, the drift-speed z-score in z_s[i].
  * Lanes that fall off the ziggurat fast path re-derive the whole
  * cell through the scalar Random — streams are independent, so the
- * values are the scalar path's exactly.
+ * values are the scalar path's exactly. Shared by warm-up and the
+ * batched rewrite: both work on z-scores, neither calls exp.
  */
 void manufZScoresAvx2(std::uint64_t seed, std::uint64_t sid_base,
                       std::size_t count, double *z_e, double *z_s);
 
 /**
- * Batched CellStorage::deriveManufacturing: manufZScoresAvx2's
- * z-scores pushed through QuantSpec::sampleManufacturing's
- * float(exp(...)) chain with a vector exp whose lanes are accepted
- * only when the float rounding provably matches libm's (half-ulp
- * margin test); unsure lanes re-derive scalar. sigma_s == 0 stores
- * 1.0f drift speeds without drawing, like the scalar path.
+ * dst[i] = vlogPos(src[i]) for count floats (aux-mode manufacturing
+ * planes into the rewrite transform's log domain). Zero and
+ * infinity map to -709.1 and +709.8, past every boundary the
+ * transform compares against, so they decide like the floats they
+ * stand for or peel.
  */
-void manufDeriveAvx2(std::uint64_t seed, std::uint64_t sid_base,
-                     std::size_t count, double log_median_e,
-                     double sigma_e, double sigma_s,
-                     float *endurance, float *nu_speed);
+void lnFloatsAvx2(const float *src, std::size_t count, double *dst);
+
+/**
+ * dst[i] = vlogPos(src[i]) for positive src[i], 0 otherwise: the
+ * rewrite's ln(dNu), computed in a loop of its own before the
+ * transform because each vlogPos is one long dependency chain that
+ * only a short loop body overlaps well.
+ */
+void lnPositiveAvx2(const double *src, std::size_t count, double *dst);
 
 /**
  * Vector stage B of warm-up: detail::warmTransformCell over the
@@ -84,9 +91,17 @@ void warmTransformAvx2(const detail::WarmTransformArgs &args);
 /**
  * Vector stage B of a batched rewrite: detail::programTransformCell
  * over the scratch buffers, four cells per step, accumulating the
- * program stats. The logR0 quantizer and the nu envelope compares
- * are exact in lanes (same double ops as scalar); only the interior
- * log-domain nu quantization peels, on ties within 1e-6 of half.
+ * program stats. The logR0 quantizer is exact in lanes (same double
+ * ops as scalar). The nu code and wear-out are decided in the log
+ * domain, like warm-up: lnS + ln(dNu) (read from args.lnDNu)
+ * against the nu envelope and quantizer, lnE against
+ * ln(writes + 1), with
+ * detail::kProgramLnMargin (1.2e-7) covering the scalar's two float
+ * roundings. Lanes inside that margin (or, for the quantizer, within
+ * margin * invNuLogStep + 1e-9 of a half step), with a float out
+ * of normal range (which includes every subnormal dNu), or whose
+ * u32 write count wrapped peel whole to the scalar transform;
+ * dNu <= 0 encodes as code 0 in lanes.
  */
 void programTransformAvx2(const detail::ProgramTransformArgs &args,
                           LineProgramStats &stats);

@@ -1,5 +1,7 @@
 #include "pcm/line.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/serialize.hh"
@@ -96,6 +98,22 @@ Line::intendedWord() const
                                    words + intendedWordCount()));
 }
 
+std::size_t
+Line::intendedDifferences(const BitVector &word) const
+{
+    PCMSCRUB_ASSERT(word.size() == codewordBits_,
+                    "word of %zu bits against a %zu-bit line",
+                    word.size(), codewordBits_);
+    const std::uint64_t *intended =
+        active_->intendedWords(activeLine_);
+    const std::vector<std::uint64_t> &words = word.words();
+    std::size_t diff = 0;
+    for (std::size_t w = 0; w < words.size(); ++w)
+        diff += static_cast<std::size_t>(
+            std::popcount(words[w] ^ intended[w]));
+    return diff;
+}
+
 LineProgramStats
 Line::writeCodeword(const BitVector &codeword, Tick now,
                     const CellModel &model, Random &rng,
@@ -154,9 +172,8 @@ Line::marginScanCount(Tick now, const CellModel &model) const
 unsigned
 Line::trueBitErrors(Tick now, const CellModel &model) const
 {
-    const BitVector read = readCodeword(now, model);
     return static_cast<unsigned>(
-        read.countDifferences(intendedWord()));
+        intendedDifferences(readCodeword(now, model)));
 }
 
 void

@@ -125,6 +125,14 @@ class Line
     /** The codeword the controller believes is stored. */
     BitVector intendedWord() const;
 
+    /**
+     * Bits in which `word` (codewordBits() wide) differs from the
+     * intended codeword, counted against the stored words in place:
+     * intendedWord().countDifferences(word) without the copy. Zero
+     * means equal.
+     */
+    std::size_t intendedDifferences(const BitVector &word) const;
+
     /** Tick of the last full write (drift reference for policies). */
     Tick lastWriteTick() const
     {

@@ -1,5 +1,7 @@
 #include "scrub/cell_backend.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "common/serialize.hh"
 #include "common/thread_pool.hh"
@@ -30,6 +32,8 @@ CellBackend::CellBackend(const CellBackendConfig &config)
                              config.detectorParity, bitsPerCell)),
       array_(config.lines, code_->codewordBits(), config.device,
              config.seed),
+      detectStride_((detector_->storedBits() + 63) / 64),
+      detectWords_(config.lines * detectStride_),
       visits_(plan_.count()),
       wear_(config.device)
 {
@@ -52,16 +56,24 @@ CellBackend::CellBackend(const CellBackendConfig &config)
     // directly — construction is the 10^7-line benchmark's dominant
     // cost, so it gets its own draw discipline instead of the generic
     // program path.
-    detectWords_.resize(config.lines);
     ThreadPool::global().run(config.lines, [&](std::size_t i) {
         Random rng = Random::stream(config.seed, (2ULL << 32) + i);
         BitVector data(code_->dataBits());
         data.randomize(rng);
         const BitVector word = code_->encode(data);
         array_.line(i).warmWriteCodeword(word, array_.model(), rng);
-        detectWords_[i] = detector_->compute(word);
+        storeDetectWord(i, word);
     });
 
+}
+
+void
+CellBackend::storeDetectWord(LineIndex line, const BitVector &word)
+{
+    const BitVector detect = detector_->compute(word);
+    std::copy(detect.words().begin(), detect.words().end(),
+              detectWords_.begin() +
+                  static_cast<std::ptrdiff_t>(line * detectStride_));
 }
 
 BitVector
@@ -159,7 +171,7 @@ CellBackend::programLine(LineIndex line, const BitVector &word,
         if (frozen > 0)
             injector_->freezeCells(physical, frozen, shardId);
     }
-    detectWords_[line] = detector_->compute(word);
+    storeDetectWord(line, word);
     rebuildEcp(line, word);
     // The visit buffer and the read-charge dedup are both stale the
     // moment the cells change: a re-read after a mid-visit reprogram
@@ -193,11 +205,13 @@ CellBackend::lightDetectClean(LineIndex line, Tick now)
     ScrubMetrics &metrics = metricsFor(line);
     metrics.energy.add(EnergyCategory::Detect, energy_.lightDetect());
     ++metrics.lightDetects;
-    const bool clean = detector_->compute(read) == detectWords_[line];
-    if (clean &&
-        read != array_.line(line).intendedWord()) {
+    const BitVector detect = detector_->compute(read);
+    const bool clean = std::equal(
+        detect.words().begin(), detect.words().end(),
+        detectWords_.begin() +
+            static_cast<std::ptrdiff_t>(line * detectStride_));
+    if (clean && array_.line(line).intendedDifferences(read) != 0)
         ++metrics.detectorMisses;
-    }
     return clean;
 }
 
@@ -228,7 +242,7 @@ CellBackend::fullDecode(LineIndex line, Tick now)
         break;
       case DecodeStatus::Corrected:
         outcome.errors = result.correctedBits;
-        if (word != array_.line(line).intendedWord()) {
+        if (array_.line(line).intendedDifferences(word) != 0) {
             // Decoder landed on the wrong codeword: silent data
             // corruption the scrub cannot see (ground truth can).
             ++metrics.miscorrections;
@@ -262,7 +276,7 @@ CellBackend::retryRead(LineIndex line, Tick now, unsigned attempt)
         line, now, config_.degradation.retryMarginWiden * attempt);
     if (code_->decode(word).status == DecodeStatus::Uncorrectable)
         return false;
-    if (word != array_.line(line).intendedWord()) {
+    if (array_.line(line).intendedDifferences(word) != 0) {
         // The retry "recovered" a wrong codeword; from here on the
         // controller faithfully preserves bad data.
         ++metricsFor(line).miscorrections;
@@ -355,9 +369,8 @@ CellBackend::trueErrors(LineIndex line, Tick now) const
 {
     // Ground truth as the controller would see it: after ECP
     // patching, before ECC.
-    const BitVector read = senseRaw(line, now);
     return static_cast<unsigned>(
-        read.countDifferences(array_.line(line).intendedWord()));
+        array_.line(line).intendedDifferences(senseRaw(line, now)));
 }
 
 void
@@ -399,9 +412,8 @@ CellBackend::checkpointLoad(SnapshotSource &source)
 
     // Detector reference words are a pure function of the intended
     // codewords, so recompute rather than trust serialized copies.
-    for (std::size_t i = 0; i < detectWords_.size(); ++i)
-        detectWords_[i] =
-            detector_->compute(array_.line(i).intendedWord());
+    for (std::size_t i = 0; i < config_.lines; ++i)
+        storeDetectWord(i, array_.line(i).intendedWord());
 }
 
 std::uint64_t

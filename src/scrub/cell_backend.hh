@@ -145,6 +145,9 @@ class CellBackend : public ShardedBackend,
     /** Whether the line currently senses to a decodable word. */
     bool decodes(LineIndex line, Tick now);
 
+    /** Store the detect word of `word` as line `line`'s reference. */
+    void storeDetectWord(LineIndex line, const BitVector &word);
+
     // DegradationLadder::Hooks: the ladder's stages on real cells.
 
     bool retryRead(LineIndex line, Tick now, unsigned attempt) override;
@@ -175,7 +178,13 @@ class CellBackend : public ShardedBackend,
     std::unique_ptr<Code> code_;
     std::unique_ptr<Detector> detector_;
     CellArray array_;
-    std::vector<BitVector> detectWords_;
+    /**
+     * Reference detect words, detectStride_ words per line in one
+     * flat array sized at construction (a per-line BitVector would
+     * cost a header and a heap block each).
+     */
+    std::size_t detectStride_;
+    std::vector<std::uint64_t> detectWords_;
     std::vector<EcpStore> ecp_; //!< Empty when ECP is off.
     std::vector<VisitWord> visits_; //!< One per shard.
     WearModel wear_;

@@ -126,6 +126,85 @@ TEST(Random, NormalZigDeterministicAndSpareFree)
     EXPECT_EQ(b.normalZig(), expected);
 }
 
+/**
+ * Output indices of the next n normalZig() draws whose first raw
+ * draw fails the rectangle test, so the slow resolver runs and
+ * takes further raw draws from the stream; `tail` reports whether
+ * any of them landed in the base strip (the exact-tail loop).
+ */
+std::vector<std::size_t>
+slowDraws(Random rng, std::size_t n, bool &tail)
+{
+    const detail::ZigTables &t = detail::zigTables();
+    std::vector<std::size_t> slow;
+    tail = false;
+    for (std::size_t j = 0; j < n; ++j) {
+        Random probe = rng;
+        const std::uint64_t bits = probe.next();
+        const unsigned layer = static_cast<unsigned>(bits & 127);
+        const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
+        if (!(u < t.ratio[layer])) {
+            slow.push_back(j);
+            tail = tail || layer == 0;
+        }
+        rng.normalZig();
+    }
+    return slow;
+}
+
+/**
+ * The batched fill is n scalar normalZig() calls: same values in
+ * the same order and the same stream state afterwards, including
+ * when the slow path runs on the buffer's first output, on its last
+ * (its extra raw draws then come from past the buffer), in between,
+ * and in the base-strip tail. Seeds are searched until each case
+ * occurs.
+ */
+TEST(Random, FillNormalZigMatchesScalarDrawsThroughRejections)
+{
+    const std::size_t sizes[] = {1, 2, 5, 64, 740};
+    for (const std::size_t n : sizes) {
+        bool sawFirst = false, sawLast = false, sawMiddle = false,
+             sawTail = false;
+        for (std::uint64_t seed = 1;
+             seed < 200000 &&
+             !(sawFirst && sawLast && (sawMiddle || n < 3) &&
+               (sawTail || n < 64));
+             ++seed) {
+            const Random start(seed);
+            bool tail = false;
+            const std::vector<std::size_t> slow =
+                slowDraws(start, n, tail);
+            bool wanted = false;
+            for (const std::size_t j : slow) {
+                if (j == 0 && !sawFirst)
+                    wanted = sawFirst = true;
+                if (j == n - 1 && !sawLast)
+                    wanted = sawLast = true;
+                if (j > 0 && j + 1 < n && !sawMiddle)
+                    wanted = sawMiddle = true;
+            }
+            if (tail && !sawTail)
+                wanted = sawTail = true;
+            if (!wanted && seed > 1)
+                continue;
+            SCOPED_TRACE("n " + std::to_string(n) + " seed " +
+                         std::to_string(seed));
+            Random scalar = start;
+            Random batched = start;
+            std::vector<double> out(n + 1, -1.0);
+            batched.fillNormalZig(out.data(), n);
+            for (std::size_t j = 0; j < n; ++j)
+                ASSERT_EQ(out[j], scalar.normalZig()) << "draw " << j;
+            EXPECT_EQ(out[n], -1.0); // Nothing written past n.
+            EXPECT_EQ(batched.next(), scalar.next());
+        }
+        EXPECT_TRUE(sawFirst && sawLast) << "n " << n;
+        EXPECT_TRUE(sawMiddle || n < 3) << "n " << n;
+        EXPECT_TRUE(sawTail || n < 64) << "n " << n;
+    }
+}
+
 TEST(Random, NormalScalesMeanAndStddev)
 {
     Random rng(9);

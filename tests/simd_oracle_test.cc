@@ -18,7 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/random.hh"
@@ -30,6 +33,7 @@
 #include "pcm/cell_storage.hh"
 #include "pcm/kernels.hh"
 #include "pcm/kernels_simd.hh"
+#include "pcm/line.hh"
 
 namespace pcmscrub {
 namespace {
@@ -280,21 +284,67 @@ TEST(SimdOracle, WarmProgramMatchesScalarOnAdversarialWidths)
 }
 
 /**
+ * A device config and the pre-write count of the rewritten line (the
+ * random planes' line 1 has written twice) that steer the rewrite
+ * transform's log-domain decisions onto its peels.
+ */
+struct RewriteEdge
+{
+    DeviceConfig config;
+    std::uint64_t lineWrites = 2;
+};
+
+/**
+ * Index 0 is the default device; 1 kills many cells this write (the
+ * worn-out branch); 2 draws dNu <= 0 for a third of the cells (code 0
+ * in lanes); 3 gives level-0 cells subnormal positive dNu; 4 pins
+ * level-0 nu to nuMin, level-3 nu to nuMax and levels 1-2 onto
+ * quantizer half-step ties; 5 puts every endurance within the margin
+ * of the post-write count; 6 widens the nu envelope past e^20 while
+ * level-0 dNu is 1e-300, so an infinite drift speed (aux pins) lands
+ * inside it in the log domain; 7 wraps the u32 write count to zero
+ * on cells whose endurance float underflows to zero.
+ */
+std::vector<RewriteEdge>
+rewriteEdges()
+{
+    std::vector<RewriteEdge> edges(8);
+    edges[1].config.enduranceMedian = 2.0;
+    edges[1].config.enduranceSigmaLn = 0.5;
+    edges[2].config.driftSigmaRatio = 2.0;
+    edges[3].config.driftMu[0] = 1e-310;
+    DeviceConfig &bounds = edges[4].config;
+    bounds.driftSpeedSigmaLn = 0.0;
+    bounds.driftSigmaRatio = 1e-10;
+    QuantSpec spec;
+    spec.init(bounds); // nuMax comes from level 3 alone.
+    bounds.driftMu[0] = spec.nuMin();
+    bounds.driftMu[1] =
+        spec.nuMin() * std::exp(100.5 * spec.nuLogStep());
+    bounds.driftMu[2] =
+        spec.nuMin() * std::exp(200.5 * spec.nuLogStep());
+    edges[5].config.enduranceMedian = 3.0;
+    edges[5].config.enduranceSigmaLn = 1e-10;
+    edges[6].config.driftMu = {1e-300, 0.02, 0.055, 1e9};
+    edges[6].config.driftSigmaRatio = 0.0;
+    edges[7].config.enduranceMedian = 1e-50;
+    edges[7].lineWrites = 0xffffffffULL;
+    return edges;
+}
+
+/**
  * Rewrite-program kernel (the batched two-stage pipeline behind
  * programCodeword) vs the per-cell scalar loop, on adversarial
  * random planes: stuck densities force the overlay + frozen-symbol
- * merge path, odd widths leave a half-cell tail, and a
- * two-writes-to-death endurance config exercises the worn-out
- * branch of the batched transform.
+ * merge path, odd widths leave a half-cell tail, and the edge cases
+ * reach every peel of the log-domain transform.
  */
 TEST(SimdOracle, RewriteProgramMatchesScalarOnAdversarialPlanes)
 {
     SimdSwitch restore;
-    DeviceConfig configs[2];
-    configs[1].enduranceMedian = 2.0; // Many cells die this write.
-    configs[1].enduranceSigmaLn = 0.5;
-    for (unsigned c = 0; c < 2; ++c) {
-        const DeviceConfig &config = configs[c];
+    const std::vector<RewriteEdge> edges = rewriteEdges();
+    for (unsigned c = 0; c < edges.size(); ++c) {
+        const DeviceConfig &config = edges[c].config;
         const CellModel model(config);
         for (const std::size_t cells : kCellCounts) {
             for (const double stuckFraction : {0.0, 0.3}) {
@@ -319,6 +369,8 @@ TEST(SimdOracle, RewriteProgramMatchesScalarOnAdversarialPlanes)
                                   static_cast<std::uint64_t>(
                                       stuckFraction * 1000));
                     randomizePlanes(stores[v], planes, stuckFraction);
+                    stores[v].setLineMeta(1, secondsToTicks(1.0),
+                                          edges[c].lineWrites);
                     simd::setEnabled(v == 1);
                     stats[v] = kernels::programCodeword(
                         stores[v].span(1, cells), word, bits,
@@ -348,6 +400,79 @@ TEST(SimdOracle, RewriteProgramMatchesScalarOnAdversarialPlanes)
                 }
                 EXPECT_EQ(rngs[0].next(), rngs[1].next());
             }
+        }
+    }
+}
+
+/**
+ * The same oracle on a standalone aux-mode Line, whose rewrite feeds
+ * the transform the ln of its stored manufacturing floats. Every
+ * third cell carries pinned floats, cycling through endurances
+ * exactly at the first and second post-write counts (ties only the
+ * scalar compare can settle), zero and infinite endurance, and zero,
+ * subnormal and infinite drift speeds. Two writes per line, so the
+ * second sees a nonzero count.
+ */
+TEST(SimdOracle, RewriteProgramMatchesScalarOnAuxLine)
+{
+    SimdSwitch restore;
+    const std::vector<RewriteEdge> edges = rewriteEdges();
+    const float inf = std::numeric_limits<float>::infinity();
+    for (unsigned c = 0; c < edges.size(); ++c) {
+        const CellModel model(edges[c].config);
+        for (const std::size_t cells : kCellCounts) {
+            const std::size_t bits = 2 * cells;
+            Line lines[2] = {Line(bits), Line(bits)};
+            Random rngs[2] = {Random(cells * 17 + c),
+                              Random(cells * 17 + c)};
+            LineProgramStats stats[2][2];
+            for (int v = 0; v < 2; ++v) {
+                lines[v].initialize(model, rngs[v]);
+                // (endurance, drift speed) pairs.
+                const float pins[][2] = {
+                    {1.0f, 1.0f}, {2.0f, 1.0f},  {0.0f, 1.0f},
+                    {inf, 1.0f},  {1e9f, 0.0f}, {1e9f, 1e-40f},
+                    {1e9f, inf}};
+                constexpr std::size_t kPins = sizeof pins / sizeof pins[0];
+                for (std::size_t k = 0; 3 * k < cells; ++k) {
+                    const unsigned cellIndex =
+                        static_cast<unsigned>(3 * k);
+                    Cell cell = lines[v].cellValue(cellIndex);
+                    cell.enduranceWrites = pins[k % kPins][0];
+                    cell.nuSpeed = pins[k % kPins][1];
+                    lines[v].storeCell(cellIndex, cell);
+                }
+                simd::setEnabled(v == 1);
+                for (int w = 0; w < 2; ++w) {
+                    BitVector word(bits);
+                    Random data(cells * 5 + w);
+                    word.randomize(data);
+                    stats[v][w] = lines[v].writeCodeword(
+                        word, secondsToTicks(60.0 * (w + 1)), model,
+                        rngs[v]);
+                }
+            }
+            simd::setEnabled(true);
+            SCOPED_TRACE("config " + std::to_string(c) + " cells " +
+                         std::to_string(cells));
+            for (int w = 0; w < 2; ++w) {
+                EXPECT_EQ(stats[0][w].cellsProgrammed,
+                          stats[1][w].cellsProgrammed);
+                EXPECT_EQ(stats[0][w].totalIterations,
+                          stats[1][w].totalIterations);
+                EXPECT_EQ(stats[0][w].cellsWornOut,
+                          stats[1][w].cellsWornOut);
+            }
+            const CellConstSpan a = std::as_const(lines[0]).span();
+            const CellConstSpan b = std::as_const(lines[1]).span();
+            for (std::size_t i = 0; i < cells; ++i) {
+                EXPECT_EQ(a.logRq[i], b.logRq[i]) << "cell " << i;
+                EXPECT_EQ(a.nuIdx[i], b.nuIdx[i]) << "cell " << i;
+                EXPECT_EQ(a.grayAt(i), b.grayAt(i)) << "cell " << i;
+                EXPECT_EQ(a.writeTick(i), b.writeTick(i))
+                    << "cell " << i;
+            }
+            EXPECT_EQ(rngs[0].next(), rngs[1].next());
         }
     }
 }
