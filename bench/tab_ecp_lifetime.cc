@@ -17,6 +17,7 @@
 #include <cstdio>
 
 #include "bench_util.hh"
+#include "ecc/ecp.hh"
 
 using namespace pcmscrub;
 using namespace pcmscrub::bench;
@@ -54,11 +55,10 @@ main(int argc, char **argv)
 
         const RunResult result = runPolicy(
             "ecp" + std::to_string(entries), config, spec, horizon);
-        // Overhead of the pointer store for a 592-bit codeword.
-        const unsigned pointerBits = 10;
         table.row()
             .cell(entries)
-            .cell(entries * (pointerBits + 1) + 1)
+            .cell(EcpStore(config.scheme.codewordBits(), entries)
+                      .overheadBits())
             .cell(result.metrics.cellsWornOut)
             .cell(result.uncorrectable(), 2)
             .cell(result.rewritesPerLineDay(), 4)

@@ -40,26 +40,6 @@ BitVector::flip(std::size_t index)
     words_[index / 64] ^= 1ULL << (index % 64);
 }
 
-void
-BitVector::xorWord(std::size_t word_index, std::uint64_t mask)
-{
-    PCMSCRUB_ASSERT(word_index < words_.size(),
-                    "word index %zu out of range %zu", word_index,
-                    words_.size());
-    const std::size_t tail = bits_ % 64;
-    PCMSCRUB_ASSERT(word_index + 1 < words_.size() || tail == 0 ||
-                        (mask >> tail) == 0,
-                    "xorWord mask sets bits past length %zu", bits_);
-    words_[word_index] ^= mask;
-}
-
-void
-BitVector::clear()
-{
-    for (auto &word : words_)
-        word = 0;
-}
-
 std::size_t
 BitVector::popcount() const
 {
@@ -67,39 +47,6 @@ BitVector::popcount() const
     for (const auto word : words_)
         total += static_cast<std::size_t>(std::popcount(word));
     return total;
-}
-
-BitVector &
-BitVector::operator^=(const BitVector &other)
-{
-    PCMSCRUB_ASSERT(bits_ == other.bits_,
-                    "xor of mismatched lengths %zu vs %zu",
-                    bits_, other.bits_);
-    for (std::size_t i = 0; i < words_.size(); ++i)
-        words_[i] ^= other.words_[i];
-    return *this;
-}
-
-std::size_t
-BitVector::countDifferences(const BitVector &other) const
-{
-    PCMSCRUB_ASSERT(bits_ == other.bits_,
-                    "distance of mismatched lengths %zu vs %zu",
-                    bits_, other.bits_);
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < words_.size(); ++i)
-        total += static_cast<std::size_t>(
-            std::popcount(words_[i] ^ other.words_[i]));
-    return total;
-}
-
-unsigned
-BitVector::popcountWord(std::size_t word_index) const
-{
-    PCMSCRUB_ASSERT(word_index < words_.size(),
-                    "word index %zu out of range %zu", word_index,
-                    words_.size());
-    return static_cast<unsigned>(std::popcount(words_[word_index]));
 }
 
 void
@@ -163,16 +110,6 @@ BitVector::randomize(Random &rng)
     for (auto &word : words_)
         word = rng.next();
     maskTail();
-}
-
-std::string
-BitVector::toString() const
-{
-    std::string out;
-    out.reserve(bits_);
-    for (std::size_t i = 0; i < bits_; ++i)
-        out.push_back(get(i) ? '1' : '0');
-    return out;
 }
 
 BitVector

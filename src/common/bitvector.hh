@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace pcmscrub {
@@ -37,40 +36,8 @@ class BitVector
     void set(std::size_t index, bool value);
     void flip(std::size_t index);
 
-    /**
-     * XOR `mask` into backing word `word_index`. Bits past the vector
-     * length must not be set in the mask; equivalent to flipping each
-     * set bit individually.
-     */
-    void xorWord(std::size_t word_index, std::uint64_t mask);
-
-    /** Set every bit to zero without changing the length. */
-    void clear();
-
     /** Number of set bits. */
     std::size_t popcount() const;
-
-    /** XOR another vector of identical length into this one. */
-    BitVector &operator^=(const BitVector &other);
-
-    /** Named form of ^= for call sites that read better with it. */
-    void xorWith(const BitVector &other) { *this ^= other; }
-
-    /**
-     * Number of positions at which this and `other` differ, computed
-     * word-by-word (one XOR + popcount per 64 bits). The primitive
-     * behind hammingDistance() and every compare hot path.
-     */
-    std::size_t countDifferences(const BitVector &other) const;
-
-    /** Hamming distance to another vector of identical length. */
-    std::size_t hammingDistance(const BitVector &other) const
-    {
-        return countDifferences(other);
-    }
-
-    /** Set bits within one backing word. */
-    unsigned popcountWord(std::size_t word_index) const;
 
     /**
      * Copy `n` bits from src[src_lo, src_lo+n) into
@@ -108,9 +75,6 @@ class BitVector
 
     /** Fill with independent fair coin flips. */
     void randomize(Random &rng);
-
-    /** "0101..." dump, bit 0 first (for test diagnostics). */
-    std::string toString() const;
 
   private:
     void maskTail();

@@ -92,16 +92,6 @@ ConfigFile::has(const std::string &key) const
     return values_.count(key) > 0;
 }
 
-std::vector<std::string>
-ConfigFile::keys() const
-{
-    std::vector<std::string> names;
-    names.reserve(values_.size());
-    for (const auto &[key, value] : values_)
-        names.push_back(key);
-    return names;
-}
-
 std::string
 ConfigFile::getString(const std::string &key,
                       const std::string &fallback) const

@@ -48,9 +48,6 @@ class ConfigFile
 
     bool has(const std::string &key) const;
 
-    /** All "section.key" names, sorted. */
-    std::vector<std::string> keys() const;
-
     /**
      * Typed accessors: return the default when the key is absent;
      * fatal() when present but unparseable (silent coercion hides

@@ -7,8 +7,6 @@ namespace pcmscrub {
 
 namespace {
 
-LogLevel currentLevel = LogLevel::Info;
-
 void
 vprint(std::FILE *stream, const char *prefix, const char *fmt,
        std::va_list args)
@@ -24,23 +22,9 @@ vprint(std::FILE *stream, const char *prefix, const char *fmt,
 
 } // namespace
 
-LogLevel
-logLevel()
-{
-    return currentLevel;
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    currentLevel = level;
-}
-
 void
 inform(const char *fmt, ...)
 {
-    if (currentLevel < LogLevel::Info)
-        return;
     std::va_list args;
     va_start(args, fmt);
     vprint(stdout, "info: ", fmt, args);
@@ -50,22 +34,9 @@ inform(const char *fmt, ...)
 void
 warn(const char *fmt, ...)
 {
-    if (currentLevel < LogLevel::Warn)
-        return;
     std::va_list args;
     va_start(args, fmt);
     vprint(stderr, "warn: ", fmt, args);
-    va_end(args);
-}
-
-void
-debug(const char *fmt, ...)
-{
-    if (currentLevel < LogLevel::Debug)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    vprint(stdout, "debug: ", fmt, args);
     va_end(args);
 }
 

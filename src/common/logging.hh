@@ -20,23 +20,11 @@
 
 namespace pcmscrub {
 
-/** Verbosity levels for runtime filtering of status messages. */
-enum class LogLevel { Silent, Warn, Info, Debug };
-
-/** Process-wide log level; defaults to Info. */
-LogLevel logLevel();
-
-/** Set the process-wide log level. */
-void setLogLevel(LogLevel level);
-
-/** printf-style informational message (suppressed below Info). */
+/** printf-style informational message, to stdout. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** printf-style warning (suppressed below Warn). */
+/** printf-style warning, to stderr. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** printf-style debug chatter (only at Debug). */
-void debug(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** User error: print and exit(1). Never returns. */
 [[noreturn]] void fatal(const char *fmt, ...)

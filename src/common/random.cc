@@ -222,12 +222,6 @@ Random::poisson(double lambda, double exp_neg_lambda)
     return k;
 }
 
-Random
-Random::split()
-{
-    return Random(next() ^ 0xd1b54a32d192ed03ULL);
-}
-
 namespace {
 
 double

@@ -185,16 +185,13 @@ class Random
      */
     std::uint64_t poisson(double lambda, double exp_neg_lambda);
 
-    /** Split off an independent child generator (for parallel use). */
-    Random split();
-
     /**
      * Counter-based stream derivation: (seed, streamId) -> an
      * independent generator, with no shared state between streams.
-     * Unlike split(), the result depends only on the two inputs, so
-     * shard streams are reproducible regardless of how many other
-     * streams exist or in what order they are created — the basis of
-     * the parallel engine's bit-identical determinism.
+     * The result depends only on the two inputs, so shard streams
+     * are reproducible regardless of how many other streams exist or
+     * in what order they are created — the basis of the parallel
+     * engine's bit-identical determinism.
      */
     static Random stream(std::uint64_t seed, std::uint64_t streamId)
     {

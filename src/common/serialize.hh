@@ -122,6 +122,7 @@ class SnapshotSource
 class Fingerprint
 {
   public:
+    void byte(std::uint8_t value);
     void u64(std::uint64_t value);
     void f64(double value);
     void str(const std::string &value);
@@ -129,8 +130,6 @@ class Fingerprint
     std::uint64_t value() const { return hash_; }
 
   private:
-    void byte(std::uint8_t value);
-
     std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/logging.hh"
 
@@ -11,43 +10,11 @@ namespace pcmscrub {
 void
 SummaryStats::add(double x)
 {
-    if (count_ == 0) {
-        min_ = x;
-        max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
+    max_ = count_ == 0 ? x : std::max(max_, x);
     ++count_;
     const double delta = x - mean_;
     mean_ += delta / static_cast<double>(count_);
     m2_ += delta * (x - mean_);
-}
-
-void
-SummaryStats::merge(const SummaryStats &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(count_);
-    const double nb = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    const double total = na + nb;
-    mean_ += delta * nb / total;
-    m2_ += other.m2_ + delta * delta * na * nb / total;
-    count_ += other.count_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
-double
-SummaryStats::min() const
-{
-    return count_ ? min_ : 0.0;
 }
 
 double
@@ -68,14 +35,6 @@ double
 SummaryStats::stddev() const
 {
     return std::sqrt(variance());
-}
-
-double
-SummaryStats::ci95() const
-{
-    if (count_ < 2)
-        return 0.0;
-    return 1.96 * stddev() / std::sqrt(static_cast<double>(count_));
 }
 
 Histogram::Histogram(double lo, double hi, unsigned bins)
@@ -130,22 +89,6 @@ Histogram::quantile(double q) const
     return hi_;
 }
 
-std::string
-Histogram::toString() const
-{
-    std::ostringstream out;
-    out << "hist[" << lo_ << "," << hi_ << ") n=" << total_;
-    if (underflow_)
-        out << " under=" << underflow_;
-    for (unsigned bin = 0; bin < bins(); ++bin) {
-        if (counts_[bin])
-            out << " [" << binLow(bin) << ")=" << counts_[bin];
-    }
-    if (overflow_)
-        out << " over=" << overflow_;
-    return out.str();
-}
-
 void
 CounterGroup::add(const std::string &key, std::uint64_t delta)
 {
@@ -157,22 +100,6 @@ CounterGroup::get(const std::string &key) const
 {
     const auto it = counters_.find(key);
     return it == counters_.end() ? 0 : it->second;
-}
-
-void
-CounterGroup::clear()
-{
-    counters_.clear();
-}
-
-std::string
-CounterGroup::toString() const
-{
-    std::ostringstream out;
-    out << name_ << ":";
-    for (const auto &[key, value] : counters_)
-        out << " " << key << "=" << value;
-    return out.str();
 }
 
 } // namespace pcmscrub

@@ -24,26 +24,18 @@ class SummaryStats
     /** Add one observation. */
     void add(double x);
 
-    /** Merge another summary into this one (parallel reduction). */
-    void merge(const SummaryStats &other);
-
     std::uint64_t count() const { return count_; }
     double mean() const { return count_ ? mean_ : 0.0; }
-    double min() const;
     double max() const;
 
     /** Unbiased sample variance; zero with fewer than two samples. */
     double variance() const;
     double stddev() const;
 
-    /** Half-width of the ~95% normal confidence interval on the mean. */
-    double ci95() const;
-
   private:
     std::uint64_t count_ = 0;
     double mean_ = 0.0;
     double m2_ = 0.0;
-    double min_ = 0.0;
     double max_ = 0.0;
 };
 
@@ -69,8 +61,6 @@ class Histogram
     /** Approximate quantile (linear interpolation within a bin). */
     double quantile(double q) const;
 
-    std::string toString() const;
-
   private:
     double lo_;
     double hi_;
@@ -82,7 +72,7 @@ class Histogram
 };
 
 /**
- * A named group of integer counters with formatted dumping. Policies
+ * A named group of integer counters. Policies
  * and controllers expose their event counts through one of these so
  * tests and benches can read them uniformly.
  */
@@ -97,16 +87,11 @@ class CounterGroup
     /** Read a counter; zero if never touched. */
     std::uint64_t get(const std::string &key) const;
 
-    /** Reset every counter to zero. */
-    void clear();
-
     const std::string &name() const { return name_; }
     const std::map<std::string, std::uint64_t> &all() const
     {
         return counters_;
     }
-
-    std::string toString() const;
 
   private:
     std::string name_;

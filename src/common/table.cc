@@ -69,12 +69,6 @@ Table::cell(unsigned value)
     return cell(std::to_string(value));
 }
 
-Table &
-Table::cell(int value)
-{
-    return cell(std::to_string(value));
-}
-
 void
 Table::print() const
 {

@@ -36,7 +36,6 @@ class Table
 
     Table &cell(std::uint64_t value);
     Table &cell(unsigned value);
-    Table &cell(int value);
 
     std::size_t rows() const { return rows_.size(); }
 

@@ -149,19 +149,6 @@ CrcDetector::missProbability(unsigned errors) const
     return std::pow(0.5, static_cast<double>(width_));
 }
 
-const char *
-detectorKindName(DetectorKind kind)
-{
-    switch (kind) {
-      case DetectorKind::InterleavedParity:
-        return "parity";
-      case DetectorKind::Crc:
-        return "crc";
-      default:
-        panic("bad detector kind %u", static_cast<unsigned>(kind));
-    }
-}
-
 std::unique_ptr<Detector>
 makeDetector(DetectorKind kind, std::size_t data_bits, unsigned width,
              unsigned granularity)

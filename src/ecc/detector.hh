@@ -59,8 +59,6 @@ enum class DetectorKind : unsigned {
     Crc,
 };
 
-const char *detectorKindName(DetectorKind kind);
-
 /**
  * Build a detector.
  *

@@ -48,9 +48,6 @@ enum class DegradationStage : unsigned {
     HostVisible, //!< Escalated to the host as a real UE.
 };
 
-/** Human-readable stage name. */
-const char *degradationStageName(DegradationStage stage);
-
 /**
  * Configuration of the degradation ladder. Disabled by default so
  * the baseline simulator (count UEs, repair from host redundancy)

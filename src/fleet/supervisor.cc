@@ -75,45 +75,22 @@ sampleNow(Tick at, const ScrubMetrics &metrics)
     return sample;
 }
 
+/**
+ * Digest of a finished device run: the wake count, the metrics'
+ * snapshot bytes (every ScrubMetrics field, energy per category) and
+ * the curve samples, hashed with FNV-1a.
+ */
 std::uint64_t
 resultDigest(const ScrubMetrics &m, std::uint64_t wakes,
              const std::vector<CurveSample> &samples)
 {
+    SnapshotSink sink;
+    sink.u64(wakes);
+    m.saveState(sink);
+    saveSamples(sink, samples);
     Fingerprint fp;
-    fp.u64(wakes);
-    fp.u64(m.linesChecked);
-    fp.u64(m.lightDetects);
-    fp.u64(m.eccChecks);
-    fp.u64(m.fullDecodes);
-    fp.u64(m.marginScans);
-    fp.u64(m.scrubRewrites);
-    fp.u64(m.preventiveRewrites);
-    fp.u64(m.piggybackRewrites);
-    fp.u64(m.correctedErrors);
-    fp.u64(m.scrubUncorrectable);
-    fp.f64(m.demandUncorrectable);
-    fp.u64(m.cellsWornOut);
-    fp.u64(m.demandWrites);
-    fp.u64(m.detectorMisses);
-    fp.u64(m.miscorrections);
-    fp.u64(m.ueRetries);
-    fp.u64(m.ueRetryResolved);
-    fp.u64(m.ueEcpRepaired);
-    fp.u64(m.uePprRemapped);
-    fp.u64(m.ueRetired);
-    fp.u64(m.ueSlcFallbacks);
-    fp.u64(m.ueSurfaced);
-    fp.u64(m.sparesRemaining);
-    fp.u64(m.pprSparesRemaining);
-    fp.u64(m.capacityLostBits);
-    fp.f64(m.energy.total());
-    for (const CurveSample &sample : samples) {
-        fp.u64(sample.simTime);
-        fp.u64(sample.ueSurfaced);
-        fp.f64(sample.totalUncorrectable);
-        fp.f64(sample.energyPj);
-        fp.u64(sample.scrubRewrites);
-    }
+    for (const std::uint8_t byte : sink.bytes())
+        fp.byte(byte);
     return fp.value();
 }
 

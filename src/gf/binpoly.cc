@@ -63,24 +63,6 @@ BinPoly::setCoeff(unsigned power, bool value)
 }
 
 BinPoly
-BinPoly::operator+(const BinPoly &other) const
-{
-    BinPoly result;
-    const std::size_t size = std::max(words_.size(), other.words_.size());
-    result.words_.assign(size, 0);
-    for (std::size_t i = 0; i < size; ++i) {
-        std::uint64_t word = 0;
-        if (i < words_.size())
-            word ^= words_[i];
-        if (i < other.words_.size())
-            word ^= other.words_[i];
-        result.words_[i] = word;
-    }
-    result.trim();
-    return result;
-}
-
-BinPoly
 BinPoly::operator*(const BinPoly &other) const
 {
     BinPoly result;
@@ -132,33 +114,6 @@ BinPoly::mod(const BinPoly &divisor) const
     return rem;
 }
 
-BinPoly
-BinPoly::div(const BinPoly &divisor) const
-{
-    const int dd = divisor.degree();
-    PCMSCRUB_ASSERT(dd >= 0, "polynomial division by zero");
-    BinPoly rem = *this;
-    BinPoly quot;
-    int dr = rem.degree();
-    while (dr >= dd) {
-        const unsigned shift = static_cast<unsigned>(dr - dd);
-        quot.setCoeff(shift, true);
-        const unsigned wordShift = shift / 64;
-        const unsigned bitShift = shift % 64;
-        if (rem.words_.size() < divisor.words_.size() + wordShift + 1)
-            rem.words_.resize(divisor.words_.size() + wordShift + 1, 0);
-        for (std::size_t j = 0; j < divisor.words_.size(); ++j) {
-            const std::uint64_t word = divisor.words_[j];
-            rem.words_[j + wordShift] ^= word << bitShift;
-            if (bitShift != 0)
-                rem.words_[j + wordShift + 1] ^= word >> (64 - bitShift);
-        }
-        dr = rem.degree();
-    }
-    quot.trim();
-    return quot;
-}
-
 bool
 BinPoly::operator==(const BinPoly &other) const
 {
@@ -171,37 +126,6 @@ BinPoly::operator==(const BinPoly &other) const
             return false;
     }
     return true;
-}
-
-unsigned
-BinPoly::weight() const
-{
-    unsigned total = 0;
-    for (const auto word : words_)
-        total += static_cast<unsigned>(std::popcount(word));
-    return total;
-}
-
-std::string
-BinPoly::toString() const
-{
-    const int d = degree();
-    if (d < 0)
-        return "0";
-    std::string out;
-    for (int i = d; i >= 0; --i) {
-        if (!coeff(static_cast<unsigned>(i)))
-            continue;
-        if (!out.empty())
-            out += " + ";
-        if (i == 0)
-            out += "1";
-        else if (i == 1)
-            out += "x";
-        else
-            out += "x^" + std::to_string(i);
-    }
-    return out;
 }
 
 void

@@ -12,7 +12,6 @@
 #define PCMSCRUB_GF_BINPOLY_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace pcmscrub {
@@ -40,22 +39,12 @@ class BinPoly
     bool coeff(unsigned power) const;
     void setCoeff(unsigned power, bool value);
 
-    BinPoly operator+(const BinPoly &other) const; // == XOR
     BinPoly operator*(const BinPoly &other) const;
 
     /** Remainder of this modulo divisor (divisor non-zero). */
     BinPoly mod(const BinPoly &divisor) const;
 
-    /** Quotient of this divided by divisor (divisor non-zero). */
-    BinPoly div(const BinPoly &divisor) const;
-
     bool operator==(const BinPoly &other) const;
-
-    /** Number of non-zero coefficients. */
-    unsigned weight() const;
-
-    /** e.g. "x^4 + x + 1". */
-    std::string toString() const;
 
   private:
     void trim();

@@ -96,14 +96,4 @@ GF2m::inv(GfElem a) const
     return expTable_[order_ - logTable_[a]];
 }
 
-GfElem
-GF2m::pow(GfElem a, std::uint64_t e) const
-{
-    if (a == 0)
-        return e == 0 ? 1 : 0;
-    const std::uint64_t exponent =
-        (static_cast<std::uint64_t>(logTable_[a]) * (e % order_)) % order_;
-    return expTable_[exponent];
-}
-
 } // namespace pcmscrub

@@ -62,13 +62,9 @@ class GF2m
     /** Discrete log base alpha; element must be non-zero. */
     std::uint32_t log(GfElem element) const;
 
-    /** Addition = subtraction = XOR in characteristic 2. */
-    static GfElem add(GfElem a, GfElem b) { return a ^ b; }
-
     GfElem mul(GfElem a, GfElem b) const;
     GfElem div(GfElem a, GfElem b) const;
     GfElem inv(GfElem a) const;
-    GfElem pow(GfElem a, std::uint64_t e) const;
 
   private:
     unsigned m_;

@@ -1,7 +1,5 @@
 #include "gf/gfpoly.hh"
 
-#include <sstream>
-
 namespace pcmscrub {
 
 GfPoly::GfPoly(std::vector<GfElem> coeffs)
@@ -44,25 +42,6 @@ GfPoly::setCoeff(unsigned power, GfElem value)
 }
 
 GfPoly
-GfPoly::add(const GfPoly &other) const
-{
-    GfPoly result;
-    const std::size_t size = std::max(coeffs_.size(),
-                                      other.coeffs_.size());
-    result.coeffs_.assign(size, 0);
-    for (std::size_t i = 0; i < size; ++i) {
-        GfElem c = 0;
-        if (i < coeffs_.size())
-            c ^= coeffs_[i];
-        if (i < other.coeffs_.size())
-            c ^= other.coeffs_[i];
-        result.coeffs_[i] = c;
-    }
-    result.trim();
-    return result;
-}
-
-GfPoly
 GfPoly::mul(const GF2m &field, const GfPoly &other) const
 {
     GfPoly result;
@@ -79,81 +58,6 @@ GfPoly::mul(const GF2m &field, const GfPoly &other) const
     }
     result.trim();
     return result;
-}
-
-GfPoly
-GfPoly::scale(const GF2m &field, GfElem c) const
-{
-    GfPoly result;
-    if (c == 0)
-        return result;
-    result.coeffs_.resize(coeffs_.size());
-    for (std::size_t i = 0; i < coeffs_.size(); ++i)
-        result.coeffs_[i] = field.mul(coeffs_[i], c);
-    result.trim();
-    return result;
-}
-
-GfPoly
-GfPoly::shift(unsigned n) const
-{
-    GfPoly result;
-    if (isZero())
-        return result;
-    result.coeffs_.assign(coeffs_.size() + n, 0);
-    for (std::size_t i = 0; i < coeffs_.size(); ++i)
-        result.coeffs_[i + n] = coeffs_[i];
-    return result;
-}
-
-GfElem
-GfPoly::eval(const GF2m &field, GfElem x) const
-{
-    GfElem acc = 0;
-    for (std::size_t i = coeffs_.size(); i-- > 0;)
-        acc = GF2m::add(field.mul(acc, x), coeffs_[i]);
-    return acc;
-}
-
-GfPoly
-GfPoly::derivative() const
-{
-    GfPoly result;
-    if (coeffs_.size() < 2)
-        return result;
-    result.coeffs_.assign(coeffs_.size() - 1, 0);
-    for (std::size_t i = 1; i < coeffs_.size(); i += 2)
-        result.coeffs_[i - 1] = coeffs_[i];
-    result.trim();
-    return result;
-}
-
-bool
-GfPoly::equals(const GfPoly &other) const
-{
-    return coeffs_ == other.coeffs_;
-}
-
-std::string
-GfPoly::toString() const
-{
-    if (isZero())
-        return "0";
-    std::ostringstream out;
-    bool first = true;
-    for (std::size_t i = coeffs_.size(); i-- > 0;) {
-        if (coeffs_[i] == 0)
-            continue;
-        if (!first)
-            out << " + ";
-        first = false;
-        out << coeffs_[i];
-        if (i == 1)
-            out << "*x";
-        else if (i > 1)
-            out << "*x^" << i;
-    }
-    return out.str();
 }
 
 void

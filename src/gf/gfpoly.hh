@@ -1,13 +1,12 @@
 /**
  * @file
- * Polynomials with coefficients in GF(2^m), used by the BCH decoder
- * (error-locator polynomials, syndrome manipulation).
+ * Polynomials with coefficients in GF(2^m), used to build the minimal
+ * polynomials behind the BCH generator (gf/minpoly.hh).
  */
 
 #ifndef PCMSCRUB_GF_GFPOLY_HH
 #define PCMSCRUB_GF_GFPOLY_HH
 
-#include <string>
 #include <vector>
 
 #include "gf/gf2m.hh"
@@ -35,28 +34,7 @@ class GfPoly
     GfElem coeff(unsigned power) const;
     void setCoeff(unsigned power, GfElem value);
 
-    GfPoly add(const GfPoly &other) const;
     GfPoly mul(const GF2m &field, const GfPoly &other) const;
-
-    /** Multiply by the scalar c. */
-    GfPoly scale(const GF2m &field, GfElem c) const;
-
-    /** Multiply by x^n. */
-    GfPoly shift(unsigned n) const;
-
-    /** Evaluate at the point x via Horner's rule. */
-    GfElem eval(const GF2m &field, GfElem x) const;
-
-    /**
-     * Formal derivative. In characteristic 2 the even-power terms
-     * vanish and odd powers keep their coefficient at one degree
-     * lower; used by Forney-style checks and tests.
-     */
-    GfPoly derivative() const;
-
-    bool equals(const GfPoly &other) const;
-
-    std::string toString() const;
 
   private:
     void trim();

@@ -41,21 +41,6 @@ MemGeometry::locate(LineIndex line) const
     return loc;
 }
 
-LineIndex
-MemGeometry::index(const LineLocation &loc) const
-{
-    PCMSCRUB_ASSERT(loc.channel < channels_ &&
-                    loc.bank < banksPerChannel_ &&
-                    loc.row < rowsPerBank_ &&
-                    loc.offset < linesPerRow_,
-                    "location out of range");
-    LineIndex line = loc.row;
-    line = line * linesPerRow_ + loc.offset;
-    line = line * banksPerChannel_ + loc.bank;
-    line = line * channels_ + loc.channel;
-    return line;
-}
-
 unsigned
 MemGeometry::bankOf(LineIndex line) const
 {

@@ -49,9 +49,6 @@ class MemGeometry
     /** Line index -> hierarchical location. */
     LineLocation locate(LineIndex line) const;
 
-    /** Hierarchical location -> line index (inverse of locate). */
-    LineIndex index(const LineLocation &loc) const;
-
     /** Flat bank id in [0, totalBanks) that a line maps to. */
     unsigned bankOf(LineIndex line) const;
 

@@ -46,12 +46,6 @@ SparePool::retire(LineIndex line)
     return true;
 }
 
-bool
-SparePool::isRetired(LineIndex line) const
-{
-    return partitionOf(line).retirements.count(line) > 0;
-}
-
 std::uint32_t
 SparePool::retirements(LineIndex line) const
 {

@@ -65,9 +65,6 @@ class SparePool
      */
     bool retire(LineIndex line);
 
-    /** Whether a line has ever been remapped. */
-    bool isRetired(LineIndex line) const;
-
     /** Times a line has been remapped. */
     std::uint32_t retirements(LineIndex line) const;
 

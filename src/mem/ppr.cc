@@ -41,12 +41,6 @@ PprRemapTable::remappedCount() const
     return used;
 }
 
-std::uint64_t
-PprRemapTable::partitionCapacity(LineIndex line) const
-{
-    return partitionOf(line).capacity;
-}
-
 bool
 PprRemapTable::partitionExhausted(LineIndex line) const
 {

@@ -61,9 +61,6 @@ class PprRemapTable
      *  remapped). */
     std::uint64_t remappedCount() const;
 
-    /** Rows provisioned in `line`'s shard partition. */
-    std::uint64_t partitionCapacity(LineIndex line) const;
-
     /** Whether `line`'s shard partition has no row left. */
     bool partitionExhausted(LineIndex line) const;
 

@@ -176,12 +176,6 @@ DriftModel::bulkTable(double quantile) const
 }
 
 double
-DriftModel::bulkCellErrorProb(double t_seconds, double quantile) const
-{
-    return interpolate(bulkTable(quantile), t_seconds);
-}
-
-double
 DriftModel::lineUncorrectableProb(unsigned cells, double t_seconds,
                                   unsigned t_ecc) const
 {

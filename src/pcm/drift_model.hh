@@ -72,14 +72,6 @@ class DriftModel
     double cellErrorProb(double t_seconds) const;
 
     /**
-     * Error probability of a random-data cell *conditioned on its
-     * intrinsic speed lying below the q-quantile* — the "bulk"
-     * population left after a backend carves out the fastest cells
-     * for individual tracking. Table-backed; see prewarmBulk().
-     */
-    double bulkCellErrorProb(double t_seconds, double quantile) const;
-
-    /**
      * Error probability of a random-data cell with a known speed
      * factor (levels averaged).
      */
@@ -172,8 +164,10 @@ class DriftModel
     /**
      * Make the bulk-population table for one quantile readable through
      * this model (idempotent; built once per process like prewarm()'s).
-     * bulkCellErrorProb() asserts that this model prewarmed its
-     * quantile.
+     * The bulk population is a random-data cell *conditioned on its
+     * intrinsic speed lying below the q-quantile*: what is left after
+     * a backend carves out the fastest cells for individual tracking.
+     * bulkTable() asserts that this model prewarmed its quantile.
      */
     void prewarmBulk(double quantile) const;
 
@@ -283,9 +277,9 @@ class DriftModel
     const AgeTable &bulkTable(double quantile) const;
 
     /**
-     * Interpolated read of a prewarmed table at log-age u;
-     * bulkCellErrorProb(t, q) is
-     * interpolateAtLogAge(bulkTable(q), logAge(t)), bit for bit.
+     * Interpolated read of a prewarmed table at log-age u: the bulk
+     * cell error probability at age t is
+     * interpolateAtLogAge(bulkTable(q), logAge(t)).
      */
     static double interpolateAtLogAge(const AgeTable &table, double u);
 

@@ -49,12 +49,6 @@ EnergyAccount::total() const
 }
 
 void
-EnergyAccount::clear()
-{
-    byCategory_.fill(0.0);
-}
-
-void
 EnergyAccount::merge(const EnergyAccount &other)
 {
     for (unsigned c = 0; c < byCategory_.size(); ++c)

@@ -46,8 +46,6 @@ class EnergyAccount
     PicoJoule get(EnergyCategory category) const;
     PicoJoule total() const;
 
-    void clear();
-
     /** Merge another account into this one. */
     void merge(const EnergyAccount &other);
 

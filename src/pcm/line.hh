@@ -127,9 +127,8 @@ class Line
 
     /**
      * Bits in which `word` (codewordBits() wide) differs from the
-     * intended codeword, counted against the stored words in place:
-     * intendedWord().countDifferences(word) without the copy. Zero
-     * means equal.
+     * intended codeword, counted against the stored words in place
+     * (no intendedWord() copy). Zero means equal.
      */
     std::size_t intendedDifferences(const BitVector &word) const;
 

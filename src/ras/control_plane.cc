@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "mem/metadata.hh"
-#include "mem/ppr.hh"
 
 namespace pcmscrub {
 
@@ -69,47 +67,6 @@ RasControlPlane::setScrubIntervalS(double seconds)
               settings_.maxIntervalS);
     }
     policy_.setInterval(secondsToTicks(seconds));
-}
-
-void
-RasControlPlane::requestPprRemap(LineIndex line, Tick now)
-{
-    if (line >= backend_.lineCount()) {
-        fatal("ras: PPR remap target line %llu out of range "
-              "(device has %llu lines)",
-              static_cast<unsigned long long>(line),
-              static_cast<unsigned long long>(backend_.lineCount()));
-    }
-    PprRemapTable *ppr = backend_.ppr();
-    if (ppr == nullptr || ppr->capacity() == 0) {
-        fatal("ras: backend has no PPR spare rows provisioned "
-              "(set ras.ppr_spare_rows)");
-    }
-    if (ppr->isRemapped(line)) {
-        fatal("ras: line %llu is already PPR-remapped; the fuse is "
-              "one-shot per address",
-              static_cast<unsigned long long>(line));
-    }
-    const SparePool *spares = backend_.spares();
-    if (spares != nullptr && spares->isRetired(line)) {
-        fatal("ras: line %llu is retired to a spare; retired "
-              "addresses cannot be PPR-remapped",
-              static_cast<unsigned long long>(line));
-    }
-    if (!ppr->remap(line)) {
-        fatal("ras: PPR spare rows exhausted in the shard partition "
-              "of line %llu (it holds %llu of the %llu rows "
-              "configured)",
-              static_cast<unsigned long long>(line),
-              static_cast<unsigned long long>(
-                  ppr->partitionCapacity(line)),
-              static_cast<unsigned long long>(ppr->capacity()));
-    }
-    // Only the remap table records the fuse: the line is reloaded
-    // through repairUncorrectable, which keeps its cells (stuck cells
-    // stay stuck, the analytic weak-cell tail is not re-drawn). The
-    // ladder's PPR rung instead moves the line onto fresh silicon.
-    backend_.repairUncorrectable(line, now);
 }
 
 } // namespace pcmscrub

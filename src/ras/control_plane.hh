@@ -10,14 +10,14 @@
  *    into a nonsensical regime;
  *  - telemetry: per-region corrected/uncorrected counters, ladder
  *    escalations, scrub writes, and energy, owned here and attached
- *    to the backend for the control plane's lifetime;
- *  - repair: an explicit post-package-repair verb that fuses a
- *    failing line over to a spare row on demand (the ladder does the
- *    same autonomously for chronic lines).
+ *    to the backend for the control plane's lifetime.
+ *
+ * Repair is the degradation ladder's job: its PPR rung fuses chronic
+ * lines over to spare rows on its own.
  *
  * Invalid control inputs are fatal(), never clamped silently: a
- * fleet agent that asks for an out-of-bounds interval or a repair of
- * an already-repaired line has a bug worth surfacing.
+ * fleet agent that asks for an out-of-bounds interval has a bug
+ * worth surfacing.
  */
 
 #ifndef PCMSCRUB_RAS_CONTROL_PLANE_HH
@@ -65,21 +65,6 @@ class RasControlPlane
 
     const RegionTelemetry &telemetry() const { return telemetry_; }
     RegionTelemetry &telemetry() { return telemetry_; }
-
-    // Repair --------------------------------------------------------
-
-    /**
-     * Operator-requested PPR: consume a spare row for `line` now,
-     * without waiting for the chronic tracker, and reload its data
-     * through ScrubBackend::repairUncorrectable. Unlike the ladder's
-     * PPR rung, this does not move the line onto fresh silicon: its
-     * stuck cells and (analytic) drift tail stay. fatal() on an
-     * out-of-range line, a backend without provisioned PPR rows, a
-     * line already remapped or retired, or an exhausted partition:
-     * the line's shard has no row left (see PprRemapTable), even if
-     * other shards still have some.
-     */
-    void requestPprRemap(LineIndex line, Tick now);
 
   private:
     ScrubBackend &backend_;

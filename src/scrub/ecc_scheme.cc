@@ -1,9 +1,6 @@
 #include "scrub/ecc_scheme.hh"
 
-#include <array>
-
 #include "common/logging.hh"
-#include "common/random.hh"
 
 namespace pcmscrub {
 
@@ -46,28 +43,6 @@ EccScheme::checkBits() const
         return ways_ * 8; // (72,64) per slice.
     // BCH over a 512-bit payload lives in GF(2^10): m*t check bits.
     return 10 * t_;
-}
-
-bool
-EccScheme::uncorrectable(unsigned errors, Random &rng) const
-{
-    if (kind_ == EccKind::Bch)
-        return errors > t_;
-    if (errors <= t_)
-        return false;
-    if (errors > ways_ * t_)
-        return true; // Pigeonhole: some slice must exceed t.
-    // Interleaved SECDED: place each error in a uniform slice and
-    // fail if any slice collects more than t.
-    std::array<unsigned, 64> counts{};
-    PCMSCRUB_ASSERT(ways_ <= counts.size(), "interleave too wide");
-    for (unsigned e = 0; e < errors; ++e) {
-        const auto slice =
-            static_cast<unsigned>(rng.uniformInt(ways_));
-        if (++counts[slice] > t_)
-            return true;
-    }
-    return false;
 }
 
 double

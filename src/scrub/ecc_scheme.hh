@@ -17,8 +17,6 @@
 
 namespace pcmscrub {
 
-class Random;
-
 /** Protection family. */
 enum class EccKind : unsigned {
     /** DRAM-style interleaved SECDED (8 x (72,64) over a line). */
@@ -55,16 +53,9 @@ class EccScheme
     unsigned codewordBits() const { return 512 + checkBits(); }
 
     /**
-     * Whether `errors` cell errors defeat the scheme. Deterministic
-     * for BCH (errors > t); probabilistic for interleaved SECDED
-     * (depends on how errors land in slices), hence the RNG.
-     */
-    bool uncorrectable(unsigned errors, Random &rng) const;
-
-    /**
      * Exact probability that `errors` uniformly-placed errors defeat
-     * the scheme (used by closed-form sweeps; matches the sampling
-     * above).
+     * the scheme: 0 or 1 for BCH (errors > t); for interleaved SECDED,
+     * the chance that some slice collects more than t of them.
      */
     double uncorrectableProb(unsigned errors) const;
 

@@ -25,8 +25,14 @@ ScrubPolicy::checkpointLoad(SnapshotSource &source)
 std::uint64_t
 runScrub(ScrubBackend &backend, ScrubPolicy &policy, Tick horizon)
 {
-    std::uint64_t wakes = 0;
-    Tick last = 0;
+    return runScrubFrom(backend, policy, horizon, 0, 0, nullptr);
+}
+
+std::uint64_t
+runScrubFrom(ScrubBackend &backend, ScrubPolicy &policy, Tick horizon,
+             Tick last, std::uint64_t wakes,
+             const std::function<void(Tick, std::uint64_t)> &afterWake)
+{
     for (;;) {
         const Tick when = policy.nextWake();
         if (when > horizon)
@@ -38,6 +44,8 @@ runScrub(ScrubBackend &backend, ScrubPolicy &policy, Tick horizon)
                         "policy %s failed to reschedule",
                         policy.name().c_str());
         ++wakes;
+        if (afterWake)
+            afterWake(when, wakes);
     }
     return wakes;
 }

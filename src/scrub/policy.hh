@@ -9,6 +9,7 @@
 #ifndef PCMSCRUB_SCRUB_POLICY_HH
 #define PCMSCRUB_SCRUB_POLICY_HH
 
+#include <functional>
 #include <string>
 
 #include "common/types.hh"
@@ -56,6 +57,20 @@ class ScrubPolicy
  */
 std::uint64_t runScrub(ScrubBackend &backend, ScrubPolicy &policy,
                        Tick horizon);
+
+/**
+ * The wake loop behind runScrub() and runCheckpointed(): continue a
+ * run whose last wake was at `last` after `wakes` wakes (0 and 0 for
+ * a fresh run) until `horizon`. When set, `afterWake(when, wakes)`
+ * runs at every wake boundary, after the wake at `when` and with the
+ * cumulative wake count.
+ *
+ * @return cumulative wakes, the `wakes` passed in included
+ */
+std::uint64_t runScrubFrom(
+    ScrubBackend &backend, ScrubPolicy &policy, Tick horizon, Tick last,
+    std::uint64_t wakes,
+    const std::function<void(Tick, std::uint64_t)> &afterWake);
 
 } // namespace pcmscrub
 

@@ -353,6 +353,8 @@ runCheckpointed(ScrubBackend &backend, ScrubPolicy &policy, Tick horizon)
 {
     CheckpointRuntime &runtime = CheckpointRuntime::global();
     const std::uint64_t ordinal = runtime.beginRun();
+    if (!runtime.enabled())
+        return runScrub(backend, policy, horizon);
 
     std::uint64_t wakes = 0;
     Tick last = 0;
@@ -361,25 +363,13 @@ runCheckpointed(ScrubBackend &backend, ScrubPolicy &policy, Tick horizon)
         wakes = restored->wakes;
         last = restored->simTime;
     }
-
-    for (;;) {
-        const Tick when = policy.nextWake();
-        if (when > horizon)
-            break;
-        PCMSCRUB_ASSERT(when >= last, "policy scheduled into the past");
-        last = when;
-        policy.wake(backend, when);
-        PCMSCRUB_ASSERT(policy.nextWake() > when,
-                        "policy %s failed to reschedule",
-                        policy.name().c_str());
-        ++wakes;
-        if (runtime.enabled()) {
+    return runScrubFrom(
+        backend, policy, horizon, last, wakes,
+        [&](Tick when, std::uint64_t done) {
             runtime.poll(backend, policy,
-                         CheckpointMeta{ordinal, when, wakes,
+                         CheckpointMeta{ordinal, when, done,
                                         policy.name()});
-        }
-    }
-    return wakes;
+        });
 }
 
 } // namespace pcmscrub

@@ -5,8 +5,9 @@
  *
  * A harness calls CheckpointRuntime::global().configure(opts) once
  * after parsing flags. Each simulation run then goes through
- * runCheckpointed() instead of runScrub(): the wake loop is
- * identical, but between wakes the runtime
+ * runCheckpointed() instead of runScrub(). Both run the same wake
+ * loop (runScrubFrom()); runCheckpointed() adds a restore before it
+ * and a poll at each wake boundary, through which the runtime
  *
  *  - restores a pending `--resume` snapshot before the first wake
  *    (re-running earlier completed runs of a multi-run binary
@@ -117,8 +118,8 @@ class CheckpointRuntime
 
     /**
      * Register hooks serializing harness state beyond backend +
-     * policy. Cleared by the returned guard; keep it alive for the
-     * duration of the run.
+     * policy. They stay registered until clearExtraState(); call it
+     * once the run is over, before anything they capture dies.
      */
     void setExtraState(std::function<void(SnapshotSink &)> save,
                        std::function<void(SnapshotSource &)> load);
@@ -166,10 +167,11 @@ class CheckpointRuntime
 
 /**
  * Drop-in replacement for runScrub() that honours the configured
- * checkpoint runtime: restores a pending --resume snapshot, writes
- * periodic snapshots, and converts SIGINT/SIGTERM into a final
- * snapshot + clean exit. With checkpointing unconfigured it behaves
- * exactly like runScrub().
+ * checkpoint runtime: restores a pending --resume snapshot, then runs
+ * runScrub()'s wake loop with CheckpointRuntime::poll() at every wake
+ * boundary (periodic snapshots; SIGINT/SIGTERM becomes a final
+ * snapshot + clean exit). With checkpointing unconfigured it is
+ * runScrub().
  *
  * @return cumulative wakes executed (including wakes replayed from
  *         a restored snapshot, so totals match the straight run)

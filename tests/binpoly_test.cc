@@ -5,30 +5,16 @@
 
 #include <gtest/gtest.h>
 
-#include "common/random.hh"
 #include "gf/binpoly.hh"
 
 namespace pcmscrub {
 namespace {
-
-BinPoly
-randomPoly(Random &rng, unsigned max_degree)
-{
-    BinPoly p;
-    const unsigned degree =
-        static_cast<unsigned>(rng.uniformInt(max_degree + 1));
-    for (unsigned i = 0; i <= degree; ++i)
-        p.setCoeff(i, rng.bernoulli(0.5));
-    return p;
-}
 
 TEST(BinPoly, ZeroPolynomial)
 {
     BinPoly z;
     EXPECT_TRUE(z.isZero());
     EXPECT_EQ(z.degree(), -1);
-    EXPECT_EQ(z.weight(), 0u);
-    EXPECT_EQ(z.toString(), "0");
 }
 
 TEST(BinPoly, FromBitsAndDegree)
@@ -39,26 +25,13 @@ TEST(BinPoly, FromBitsAndDegree)
     EXPECT_TRUE(p.coeff(1));
     EXPECT_FALSE(p.coeff(2));
     EXPECT_TRUE(p.coeff(4));
-    EXPECT_EQ(p.weight(), 3u);
-    EXPECT_EQ(p.toString(), "x^4 + x + 1");
 }
 
 TEST(BinPoly, MonomialAcrossWordBoundary)
 {
     const BinPoly p = BinPoly::monomial(100);
     EXPECT_EQ(p.degree(), 100);
-    EXPECT_EQ(p.weight(), 1u);
     EXPECT_TRUE(p.coeff(100));
-}
-
-TEST(BinPoly, AdditionIsXor)
-{
-    const BinPoly a = BinPoly::fromBits(0b1011);
-    const BinPoly b = BinPoly::fromBits(0b1101);
-    const BinPoly sum = a + b;
-    EXPECT_EQ(sum, BinPoly::fromBits(0b0110));
-    // Characteristic 2: p + p = 0.
-    EXPECT_TRUE((a + a).isZero());
 }
 
 TEST(BinPoly, MultiplicationKnownProduct)
@@ -76,38 +49,21 @@ TEST(BinPoly, MultiplicationByZeroAndOne)
     EXPECT_EQ(p * BinPoly::fromBits(1), p);
 }
 
-TEST(BinPoly, DivModIdentityOnRandomInputs)
-{
-    Random rng(101);
-    for (int trial = 0; trial < 300; ++trial) {
-        const BinPoly a = randomPoly(rng, 180);
-        BinPoly d = randomPoly(rng, 70);
-        if (d.isZero())
-            d = BinPoly::fromBits(0b11);
-        const BinPoly q = a.div(d);
-        const BinPoly r = a.mod(d);
-        EXPECT_EQ(q * d + r, a) << "trial " << trial;
-        EXPECT_LT(r.degree(), d.degree()) << "trial " << trial;
-    }
-}
-
 TEST(BinPoly, ModByHigherDegreeIsIdentity)
 {
     const BinPoly a = BinPoly::fromBits(0b101);
     const BinPoly d = BinPoly::monomial(10);
     EXPECT_EQ(a.mod(d), a);
-    EXPECT_TRUE(a.div(d).isZero());
 }
 
 TEST(BinPoly, MultiplicationAcrossManyWords)
 {
     // (x^130 + 1)(x^130 + 1) = x^260 + 1 in characteristic 2.
-    BinPoly p = BinPoly::monomial(130) + BinPoly::fromBits(1);
-    const BinPoly sq = p * p;
-    EXPECT_EQ(sq.degree(), 260);
-    EXPECT_EQ(sq.weight(), 2u);
-    EXPECT_TRUE(sq.coeff(260));
-    EXPECT_TRUE(sq.coeff(0));
+    BinPoly p = BinPoly::monomial(130);
+    p.setCoeff(0, true);
+    BinPoly expected = BinPoly::monomial(260);
+    expected.setCoeff(0, true);
+    EXPECT_EQ(p * p, expected);
 }
 
 TEST(BinPoly, SetCoeffGrowsAndTrims)
@@ -123,7 +79,6 @@ TEST(BinPolyDeath, ModByZeroPanics)
 {
     const BinPoly a = BinPoly::fromBits(0b101);
     EXPECT_DEATH(a.mod(BinPoly()), "modulo by zero");
-    EXPECT_DEATH(a.div(BinPoly()), "division by zero");
 }
 
 } // namespace

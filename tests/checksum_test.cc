@@ -215,9 +215,6 @@ TEST(DetectorFactory, BuildsBothFamilies)
     EXPECT_EQ(parity->storedBits(), 16u);
     const auto crc = makeDetector(DetectorKind::Crc, 512, 32);
     EXPECT_EQ(crc->storedBits(), 32u);
-    EXPECT_STREQ(detectorKindName(DetectorKind::Crc), "crc");
-    EXPECT_STREQ(detectorKindName(DetectorKind::InterleavedParity),
-                 "parity");
 }
 
 TEST(CrcDetectorDeath, UnsupportedWidthIsFatal)

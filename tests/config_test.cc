@@ -57,16 +57,6 @@ TEST(Config, SectionlessKeysWork)
     EXPECT_EQ(config.getInt("answer", 0), 42u);
 }
 
-TEST(Config, KeysAreSortedAndComplete)
-{
-    const ConfigFile config =
-        ConfigFile::parse("[b]\nz = 1\n[a]\ny = 2\n");
-    const auto keys = config.keys();
-    ASSERT_EQ(keys.size(), 2u);
-    EXPECT_EQ(keys[0], "a.y");
-    EXPECT_EQ(keys[1], "b.z");
-}
-
 TEST(Config, UnusedKeyTracking)
 {
     const ConfigFile config =

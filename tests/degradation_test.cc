@@ -191,9 +191,9 @@ TEST(DegradationLadder, RetirementConsumesSparesThenFallsToSlc)
     const SparePool &pool = *backend.spares();
     EXPECT_TRUE(pool.exhausted());
     EXPECT_EQ(pool.retiredCount(), 2u);
-    EXPECT_TRUE(pool.isRetired(0));
-    EXPECT_TRUE(pool.isRetired(1));
-    EXPECT_FALSE(pool.isRetired(2));
+    EXPECT_EQ(pool.retirements(0), 1u);
+    EXPECT_EQ(pool.retirements(1), 1u);
+    EXPECT_EQ(pool.retirements(2), 0u);
 
     // Retirement and SLC fallback each cost one line of capacity.
     const std::uint64_t lineBits = backend.code().codewordBits();

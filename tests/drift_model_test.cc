@@ -382,7 +382,8 @@ expectTablesMatchReference(const DeviceConfig &config)
             return referenceCellErrorProb(model, t, quantile);
         });
         for (const double t : ages) {
-            EXPECT_EQ(bits(model.bulkCellErrorProb(t, quantile)),
+            EXPECT_EQ(bits(DriftModel::interpolateAtLogAge(
+                          model.bulkTable(quantile), model.logAge(t))),
                       bits(bulk(t)))
                 << "q=" << quantile << " t=" << t;
         }
@@ -446,10 +447,13 @@ referenceConditionalHorizon(const DriftModel &model, LineShape line,
     const unsigned healthy = line.cells - errors;
     const unsigned budget = line.eccT - errors;
     const double logChooseNext = logChoose(healthy, budget + 1);
-    const double p1 = model.bulkCellErrorProb(age, quantile);
+    const DriftModel::AgeTable &bulk = model.bulkTable(quantile);
+    const double p1 =
+        DriftModel::interpolateAtLogAge(bulk, model.logAge(age));
     const double horizon = referenceBisectAge(
         [&](double t) {
-            const double p2 = model.bulkCellErrorProb(t, quantile);
+            const double p2 =
+                DriftModel::interpolateAtLogAge(bulk, model.logAge(t));
             if (p2 <= p1)
                 return 0.0;
             const double growth = (p2 - p1) / (1.0 - p1);
@@ -611,7 +615,7 @@ TEST(DriftModelDeath, TableReadBeforePrewarmAsserts)
     EXPECT_DEATH(model.cellMarginFlagProb(3600.0), "prewarm");
     model.prewarmBulk(0.99);
     model.prewarmConditional(296, 8, 1, 1e-7);
-    EXPECT_DEATH(model.bulkCellErrorProb(3600.0, 0.98), "prewarmBulk");
+    EXPECT_DEATH(model.bulkTable(0.98), "prewarmBulk");
     EXPECT_DEATH(model.timeToConditionalUncorrectable(296, 8, 2, 3600.0,
                                                       1e-7),
                  "prewarmBulk");

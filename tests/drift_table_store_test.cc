@@ -78,8 +78,10 @@ TEST(DriftTableStore, EqualInputsShareOneTable)
         ASSERT_EQ(bits(a.cellMarginFlagProb(t)),
                   bits(b.cellMarginFlagProb(t)))
             << "t=" << t;
-        ASSERT_EQ(bits(a.bulkCellErrorProb(t, kQuantile)),
-                  bits(b.bulkCellErrorProb(t, kQuantile)))
+        ASSERT_EQ(bits(DriftModel::interpolateAtLogAge(
+                      a.bulkTable(kQuantile), a.logAge(t))),
+                  bits(DriftModel::interpolateAtLogAge(
+                      b.bulkTable(kQuantile), b.logAge(t))))
             << "t=" << t;
     }
 }
@@ -194,7 +196,8 @@ TEST(DriftTableStore, WholePopulationBulkIsTheCellErrorTable)
     for (double t = 0.01; t < 1e13; t *= 1.37)
         ages.push_back(t);
     for (const double t : ages) {
-        ASSERT_EQ(bits(model.bulkCellErrorProb(t, 1.0)),
+        ASSERT_EQ(bits(DriftModel::interpolateAtLogAge(
+                      model.bulkTable(1.0), model.logAge(t))),
                   bits(model.cellErrorProb(t)))
             << "t=" << t;
     }
@@ -209,7 +212,7 @@ TEST(DriftTableStoreDeath, ModelAssertsBeforeItsOwnPrewarm)
     const DriftModel b{config};
     EXPECT_DEATH(b.cellErrorProb(3600.0), "prewarm");
     EXPECT_DEATH(b.cellMarginFlagProb(3600.0), "prewarm");
-    EXPECT_DEATH(b.bulkCellErrorProb(3600.0, kQuantile), "prewarmBulk");
+    EXPECT_DEATH(b.bulkTable(kQuantile), "prewarmBulk");
     // The whole-population bulk entry is the cell-error table, but
     // prewarming it as a bulk does not make cellErrorProb readable.
     b.prewarmBulk(1.0);
@@ -241,7 +244,8 @@ TEST(DriftTableStoreParallel, ConcurrentPrewarmBuildsEachTableOnce)
         for (const double t : ages) {
             values[task].push_back(model.cellErrorProb(t));
             values[task].push_back(model.cellMarginFlagProb(t));
-            values[task].push_back(model.bulkCellErrorProb(t, kQuantile));
+            values[task].push_back(DriftModel::interpolateAtLogAge(
+                model.bulkTable(kQuantile), model.logAge(t)));
         }
     });
     ThreadPool::global().resize(1);
@@ -281,8 +285,10 @@ TEST(DriftTableStoreParallel, PoolBuildMatchesSerialBuild)
         ASSERT_EQ(bits(pooled.cellErrorProb(t)),
                   bits(serial.cellErrorProb(t)))
             << "t=" << t;
-        ASSERT_EQ(bits(pooled.bulkCellErrorProb(t, kQuantile)),
-                  bits(serial.bulkCellErrorProb(t, kQuantile)))
+        ASSERT_EQ(bits(DriftModel::interpolateAtLogAge(
+                      pooled.bulkTable(kQuantile), pooled.logAge(t))),
+                  bits(DriftModel::interpolateAtLogAge(
+                      serial.bulkTable(kQuantile), serial.logAge(t))))
             << "t=" << t;
     }
 }

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/random.hh"
 #include "scrub/ecc_scheme.hh"
 
 namespace pcmscrub {
@@ -31,15 +30,10 @@ TEST(EccScheme, CheckBitsMatchRealCodecs)
 TEST(EccScheme, BchUncorrectableIsDeterministicThreshold)
 {
     const EccScheme scheme = EccScheme::bch(4);
-    Random rng(1);
-    for (unsigned e = 0; e <= 4; ++e) {
-        EXPECT_FALSE(scheme.uncorrectable(e, rng)) << "e=" << e;
-        EXPECT_EQ(scheme.uncorrectableProb(e), 0.0);
-    }
-    for (unsigned e = 5; e <= 12; ++e) {
-        EXPECT_TRUE(scheme.uncorrectable(e, rng)) << "e=" << e;
-        EXPECT_EQ(scheme.uncorrectableProb(e), 1.0);
-    }
+    for (unsigned e = 0; e <= 4; ++e)
+        EXPECT_EQ(scheme.uncorrectableProb(e), 0.0) << "e=" << e;
+    for (unsigned e = 5; e <= 12; ++e)
+        EXPECT_EQ(scheme.uncorrectableProb(e), 1.0) << "e=" << e;
 }
 
 TEST(EccScheme, SecdedProbMatchesBirthdayFormula)
@@ -52,23 +46,11 @@ TEST(EccScheme, SecdedProbMatchesBirthdayFormula)
     // Three errors: survive with (7/8)(6/8).
     EXPECT_NEAR(scheme.uncorrectableProb(3),
                 1.0 - (7.0 / 8.0) * (6.0 / 8.0), 1e-12);
+    // Five errors: 8*7*6*5*4 of the 8^5 placements survive.
+    EXPECT_NEAR(scheme.uncorrectableProb(5), 1.0 - 6720.0 / 32768.0,
+                1e-12);
     // Pigeonhole beyond 8.
     EXPECT_EQ(scheme.uncorrectableProb(9), 1.0);
-}
-
-TEST(EccScheme, SecdedSamplingMatchesProb)
-{
-    const EccScheme scheme = EccScheme::secdedX8();
-    Random rng(7);
-    for (const unsigned errors : {2u, 3u, 5u}) {
-        int failures = 0;
-        const int trials = 100000;
-        for (int i = 0; i < trials; ++i)
-            failures += scheme.uncorrectable(errors, rng);
-        const double empirical = failures / static_cast<double>(trials);
-        EXPECT_NEAR(empirical, scheme.uncorrectableProb(errors), 0.01)
-            << "errors=" << errors;
-    }
 }
 
 TEST(EccScheme, ProbMonotoneInErrors)

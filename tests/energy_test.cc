@@ -22,7 +22,7 @@ TEST(EnergyAccount, AccumulatesByCategory)
     EXPECT_DOUBLE_EQ(account.total(), 17.5);
 }
 
-TEST(EnergyAccount, ClearAndMerge)
+TEST(EnergyAccount, MergeAddsPerCategory)
 {
     EnergyAccount a;
     a.add(EnergyCategory::Detect, 1.0);
@@ -32,8 +32,6 @@ TEST(EnergyAccount, ClearAndMerge)
     a.merge(b);
     EXPECT_DOUBLE_EQ(a.get(EnergyCategory::Detect), 3.0);
     EXPECT_DOUBLE_EQ(a.get(EnergyCategory::MarginRead), 4.0);
-    a.clear();
-    EXPECT_DOUBLE_EQ(a.total(), 0.0);
 }
 
 TEST(EnergyAccount, ToStringContainsCategories)

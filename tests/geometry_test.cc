@@ -19,15 +19,6 @@ TEST(MemGeometry, TotalsMultiplyOut)
     EXPECT_EQ(geo.totalLines(), 2ull * 4 * 1024 * 8);
 }
 
-TEST(MemGeometry, LocateIndexRoundTrip)
-{
-    const MemGeometry geo(2, 4, 64, 8);
-    for (LineIndex line = 0; line < geo.totalLines(); ++line) {
-        const LineLocation loc = geo.locate(line);
-        EXPECT_EQ(geo.index(loc), line) << "line " << line;
-    }
-}
-
 TEST(MemGeometry, SequentialLinesInterleaveAcrossChannels)
 {
     const MemGeometry geo(4, 2, 16, 4);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for log-level gating and the assertion macro.
+ * Tests for warn_once, panic/fatal and the assertion macro.
  */
 
 #include <gtest/gtest.h>
@@ -10,36 +10,13 @@
 namespace pcmscrub {
 namespace {
 
-TEST(Logging, LevelRoundTrips)
-{
-    const LogLevel before = logLevel();
-    setLogLevel(LogLevel::Debug);
-    EXPECT_EQ(logLevel(), LogLevel::Debug);
-    setLogLevel(LogLevel::Silent);
-    EXPECT_EQ(logLevel(), LogLevel::Silent);
-    setLogLevel(before);
-}
-
-TEST(Logging, InformAndWarnDoNotCrashWhenSuppressed)
-{
-    const LogLevel before = logLevel();
-    setLogLevel(LogLevel::Silent);
-    inform("should not appear %d", 1);
-    warn("should not appear %d", 2);
-    debug("should not appear %d", 3);
-    setLogLevel(before);
-}
-
 TEST(Logging, WarnOnceFiresExactlyOnce)
 {
-    const LogLevel before = logLevel();
-    setLogLevel(LogLevel::Warn);
     ::testing::internal::CaptureStderr();
     for (int i = 0; i < 3; ++i)
         warn_once("deduplicated warning %d", i);
     const std::string output =
         ::testing::internal::GetCapturedStderr();
-    setLogLevel(before);
 
     std::size_t count = 0;
     for (std::size_t pos = output.find("deduplicated warning");

@@ -295,16 +295,6 @@ TEST(Random, PoissonMeanAndVariance)
     EXPECT_NEAR(large.mean(), 200.0, 0.5);
 }
 
-TEST(Random, SplitProducesIndependentStream)
-{
-    Random parent(99);
-    Random child = parent.split();
-    int same = 0;
-    for (int i = 0; i < 64; ++i)
-        same += parent.next() == child.next();
-    EXPECT_LT(same, 2);
-}
-
 TEST(Zipf, SkewConcentratesOnLowIndices)
 {
     Random rng(43);

@@ -2,8 +2,7 @@
  * @file
  * RAS control-plane contract tests: the runtime scrub-interval knob
  * honours its configured bounds (and fatal()s on anything outside
- * them), operator-requested PPR repairs obey the one-shot fuse
- * semantics, per-region telemetry reconciles exactly with the global
+ * them), per-region telemetry reconciles exactly with the global
  * ScrubMetrics and stays bit-identical across thread counts, and the
  * ScrubRateController's tighten/relax/hold arithmetic matches its
  * documented hysteresis and clamping behaviour.
@@ -17,8 +16,6 @@
 
 #include "common/thread_pool.hh"
 #include "faults/fault_injector.hh"
-#include "mem/metadata.hh"
-#include "mem/ppr.hh"
 #include "ras/control_plane.hh"
 #include "ras/controlled_scrub.hh"
 #include "ras/controller.hh"
@@ -126,97 +123,6 @@ TEST(RasControlPlaneDeathTest, CtorRevalidatesSettings)
     EXPECT_EXIT(RasControlPlane(backend, policy, badHyst),
                 ::testing::ExitedWithCode(1),
                 "hysteresis must be in \\[0, 1\\)");
-}
-
-// ---------------------------------------------------------------
-// Operator-requested PPR: the explicit repair verb.
-// ---------------------------------------------------------------
-
-AnalyticConfig
-pprConfig(std::uint64_t spare_rows)
-{
-    AnalyticConfig config = quietConfig();
-    config.degradation.enabled = true;
-    config.degradation.pprSpareRows = spare_rows;
-    config.degradation.pprUeThreshold = 2;
-    return config;
-}
-
-TEST(RasControlPlane, RequestPprRemapConsumesASpareRow)
-{
-    AnalyticBackend backend(pprConfig(4));
-    StrongEccScrub policy(secondsToTicks(3600.0));
-    RasControlPlane plane(backend, policy, testSettings());
-
-    EXPECT_FALSE(backend.ppr()->isRemapped(3));
-    plane.requestPprRemap(3, kHour);
-    EXPECT_TRUE(backend.ppr()->isRemapped(3));
-    EXPECT_EQ(backend.ppr()->remaining(), 3u);
-    EXPECT_EQ(backend.ppr()->remappedCount(), 1u);
-}
-
-TEST(RasControlPlaneDeathTest, PprRemapRejectsBadRequests)
-{
-    AnalyticBackend backend(pprConfig(1));
-    StrongEccScrub policy(secondsToTicks(3600.0));
-    RasControlPlane plane(backend, policy, testSettings());
-
-    // Out-of-range address.
-    EXPECT_EXIT(plane.requestPprRemap(backend.lineCount(), kHour),
-                ::testing::ExitedWithCode(1), "out of range");
-
-    plane.requestPprRemap(0, kHour);
-
-    // The fuse is one-shot per address.
-    EXPECT_EXIT(plane.requestPprRemap(0, kHour),
-                ::testing::ExitedWithCode(1),
-                "one-shot per address");
-
-    // The single spare row sat in shard 0's partition and is now
-    // gone; line 1's shard has none of its own.
-    EXPECT_EXIT(plane.requestPprRemap(1, kHour),
-                ::testing::ExitedWithCode(1),
-                "PPR spare rows exhausted");
-}
-
-TEST(RasControlPlaneDeathTest, PprRemapRequiresProvisionedRows)
-{
-    AnalyticBackend backend(quietConfig()); // No PPR rows.
-    StrongEccScrub policy(secondsToTicks(3600.0));
-    RasControlPlane plane(backend, policy, testSettings());
-
-    EXPECT_EXIT(plane.requestPprRemap(0, kHour),
-                ::testing::ExitedWithCode(1),
-                "no PPR spare rows provisioned");
-}
-
-TEST(RasControlPlaneDeathTest, PprRemapRejectsRetiredLine)
-{
-    // One UE with ppr_ue_threshold = 2 is not chronic, so the ladder
-    // retires the line instead of burning a spare row on it; the
-    // operator must not then be able to fuse the dead address. The
-    // two spares sit in the partitions of shards 0 and 1 (one line
-    // per shard here), so the test line is line 1.
-    AnalyticConfig config = pprConfig(4);
-    config.degradation.maxRetries = 0;
-    config.degradation.ecpRepair = false;
-    config.degradation.spareLines = 2;
-    AnalyticBackend backend(config);
-
-    FaultCampaignConfig campaign;
-    campaign.disturbFlipsPerRead = 20.0; // Defeats BCH t=4.
-    campaign.seed = 7;
-    FaultInjector injector(campaign);
-    backend.setFaultInjector(&injector);
-    const FullDecodeOutcome outcome = backend.fullDecode(1, kHour);
-    ASSERT_EQ(outcome.handledBy, DegradationStage::Retire);
-    backend.setFaultInjector(nullptr);
-
-    StrongEccScrub policy(secondsToTicks(3600.0));
-    RasControlPlane plane(backend, policy, testSettings());
-    EXPECT_EXIT(plane.requestPprRemap(1, kHour),
-                ::testing::ExitedWithCode(1),
-                "retired addresses cannot be PPR-remapped");
 }
 
 // ---------------------------------------------------------------

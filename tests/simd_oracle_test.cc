@@ -110,7 +110,7 @@ TEST(SimdOracle, SenseMatchesScalarOnRandomPlanes)
                             span, bits, false, config, now, shift);
                         const unsigned vectorMargin =
                             kernels::marginScanCount(span, config, now);
-                        EXPECT_EQ(scalar.countDifferences(vector), 0u);
+                        EXPECT_EQ(scalar, vector);
                         EXPECT_EQ(scalarMargin, vectorMargin);
                     }
                 }
@@ -146,7 +146,7 @@ TEST(SimdOracle, SenseAvx2AgreesWithScalarHelperDirectly)
         kernels::marginScanCount(span, config, now);
     const BitVector vector = kernels::simdk::senseCodewordAvx2(
         span, 592, config, now, 0.0);
-    EXPECT_EQ(scalar.countDifferences(vector), 0u);
+    EXPECT_EQ(scalar, vector);
     EXPECT_EQ(scalarMargin,
               kernels::simdk::marginScanCountAvx2(span, config, now));
 }
@@ -194,7 +194,7 @@ TEST(SimdOracle, BchDecodeMatchesScalarAcrossErrorCounts)
                              " trial " + std::to_string(trial));
                 EXPECT_EQ(scalar.status, vector.status);
                 EXPECT_EQ(scalar.correctedBits, vector.correctedBits);
-                EXPECT_EQ(scalarWord.countDifferences(vectorWord), 0u);
+                EXPECT_EQ(scalarWord, vectorWord);
                 EXPECT_EQ(scalarCheck, code.check(corrupted));
             }
         }
@@ -224,7 +224,7 @@ TEST(SimdOracle, ChienScanHandlesSubVectorTailAndEarlyExit)
         simd::setEnabled(true);
         const DecodeResult vector = code.decode(vectorWord);
         EXPECT_EQ(scalar.status, vector.status);
-        EXPECT_EQ(scalarWord.countDifferences(vectorWord), 0u);
+        EXPECT_EQ(scalarWord, vectorWord);
     }
 }
 

@@ -21,7 +21,7 @@ TEST(Table, RowsAndCellsAccumulate)
     Table t("demo", {"a", "b"});
     EXPECT_EQ(t.rows(), 0u);
     t.row().cell("x").cell(1.5, 1);
-    t.row().cell(std::uint64_t{42}).cell(-3);
+    t.row().cell(std::uint64_t{42}).cell(3u);
     EXPECT_EQ(t.rows(), 2u);
 }
 

@@ -18,10 +18,10 @@ regresses by more than GUARD_THRESHOLD_PCT. lines_per_second (and
 every other time-domain metric) stays report-only even under
 --guard.
 
-Understands the three pcmscrub micro-bench JSON shapes:
+Understands the two pcmscrub micro-bench JSON shapes:
   - micro_codec:  {"benchmarks": [{"name", "cpu_time_ns", ...}]}
-  - micro_sweep:  flat scalars (wall_seconds, lines_per_second, ...)
   - micro_scale:  {"points": [{"lines", "lines_per_second", ...}]}
+    (also the pinned sweep points, BENCH_micro_sweep*.json)
 and BENCH_experiments.json (tools/bench_experiments.py): per binary
 and thread count, the median wall seconds against the baseline's,
 flagged only when the medians differ by more than the two records'
@@ -85,20 +85,6 @@ def flatten(doc):
                     float(point["lines"]) /
                     float(point["warmup_seconds"]),
                     HIGHER_IS_BETTER["warmup_lines_per_second"])
-        return out
-    for key, better in HIGHER_IS_BETTER.items():
-        if key in doc:
-            out[key] = (float(doc[key]), better)
-    # Same pre-split fallback as the per-point shape: a flat
-    # micro_sweep document that carries warmup_seconds but predates
-    # the warmup_lines_per_second field still yields a comparable
-    # warm-up rate.
-    if ("warmup_lines_per_second" not in doc
-            and float(doc.get("warmup_seconds", 0)) > 0
-            and float(doc.get("lines", 0)) > 0):
-        out["warmup_lines_per_second"] = (
-            float(doc["lines"]) / float(doc["warmup_seconds"]),
-            HIGHER_IS_BETTER["warmup_lines_per_second"])
     return out
 
 

@@ -124,27 +124,19 @@ class FlattenDerivationTest(unittest.TestCase):
         self.assertNotIn("lines=16384/warmup_lines_per_second",
                          bench_diff.flatten(doc))
 
-    def test_flat_doc_warmup_rate_derived(self):
-        # micro_sweep's flat shape gets the same pre-split fallback:
-        # lines + warmup_seconds alone still yield a warm-up rate.
-        doc = {"lines": 2048, "warmup_seconds": 0.5,
-               "lines_per_second": 100.0}
-        flat = bench_diff.flatten(doc)
-        value, higher_better = flat["warmup_lines_per_second"]
-        self.assertAlmostEqual(value, 4096.0)
-        self.assertTrue(higher_better)
-
-    def test_flat_doc_recorded_warmup_rate_wins(self):
-        doc = {"lines": 2048, "warmup_seconds": 0.5,
-               "warmup_lines_per_second": 7777.0}
-        flat = bench_diff.flatten(doc)
-        self.assertAlmostEqual(flat["warmup_lines_per_second"][0],
-                               7777.0)
-
-    def test_flat_doc_no_derivation_without_lines(self):
-        doc = {"warmup_seconds": 0.5, "lines_per_second": 100.0}
-        self.assertNotIn("warmup_lines_per_second",
-                         bench_diff.flatten(doc))
+    def test_sweep_baselines_keep_their_guarded_layout_metrics(self):
+        # The checked-in sweep baselines are single micro_scale
+        # points; the guard must still see their recorded layout.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        for name, lines in (("BENCH_micro_sweep.json", 4096),
+                            ("BENCH_micro_sweep_errorheavy.json", 2048)):
+            with open(os.path.join(root, name)) as fh:
+                doc = json.load(fh)
+            flat = bench_diff.flatten(doc)
+            for metric in ("bytes_per_line", "peak_rss_bytes"):
+                key = "lines=%d/%s" % (lines, metric)
+                self.assertIn(key, flat, name)
+                self.assertTrue(bench_diff.is_guarded(key))
 
 
 class SkippedPointsTest(unittest.TestCase):
